@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# AddressSanitizer (+UBSan) gate for the recovery path and the campaign
-# supervisor: builds the tree with -DII_SANITIZE=address,undefined and runs
-# the memory-sensitive test binaries — the ReHype recovery walk re-derives
-# frame-table state from live page tables, which is exactly where a stale
-# pointer or over-read would hide.
+# AddressSanitizer (+UBSan) gate for the recovery path, the campaign
+# supervisor and the snapshot engine: builds the tree with
+# -DII_SANITIZE=address,undefined and runs the memory-sensitive test
+# binaries — the ReHype recovery walk re-derives frame-table state from
+# live page tables, and the rewind copies frames named by the dirty logs,
+# which is exactly where a stale pointer or over-read would hide.
 #
 # Usage: bench/run_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -13,7 +14,7 @@ BUILD_DIR="${1:-$REPO_ROOT/build-asan}"
 
 TESTS=(hv_recovery_test core_supervisor_test core_campaign_trace_test
        hv_mmu_update_test hv_audit_exception_test core_chaos_test
-       core_fuzz_test core_fuzz_seq_test)
+       core_fuzz_test core_fuzz_seq_test hv_snapshot_delta_property_test)
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

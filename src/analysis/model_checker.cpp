@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -23,6 +24,8 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+
+#include <unistd.h>
 
 #include "analysis/visited.hpp"
 #include "hv/audit.hpp"
@@ -711,19 +714,25 @@ Op get_op(std::istream& in) {
 /// Append-only frontier spill file. The serial assembly stage is the only
 /// writer (and flushes before workers read); workers reload through their
 /// own read handles, so no stream is ever shared across threads.
+///
+/// The file is created on the first append under a fresh name in the spill
+/// directory (frontier-XXXXXX.spill, made with O_EXCL by mkstemps), so runs
+/// that share a directory never touch each other's file, and it is removed
+/// when the check returns or throws.
 class SpillFile {
  public:
-  explicit SpillFile(std::string path) : path_{std::move(path)} {}
+  explicit SpillFile(std::string dir) : dir_{std::move(dir)} {}
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+  ~SpillFile() {
+    if (path_.empty()) return;
+    out_.close();
+    std::remove(path_.c_str());
+  }
 
   /// Serialize one spilled state; returns its byte offset in the file.
   std::uint64_t append(const std::vector<Op>& prefix, std::uint64_t hash) {
-    if (!out_.is_open()) {
-      out_.open(path_, std::ios::binary | std::ios::trunc);
-      if (!out_) {
-        throw std::runtime_error{"model checker: cannot open spill file " +
-                                 path_};
-      }
-    }
+    if (path_.empty()) create();
     std::string rec;
     put_u32(rec, static_cast<std::uint32_t>(prefix.size()));
     for (const Op& op : prefix) put_op(rec, op);
@@ -743,7 +752,24 @@ class SpillFile {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  std::string path_;
+  void create() {
+    std::string name = dir_ + "/frontier-XXXXXX.spill";
+    const int fd = ::mkstemps(name.data(), 6);
+    if (fd < 0) {
+      throw std::runtime_error{"model checker: cannot create a spill file in " +
+                               dir_};
+    }
+    ::close(fd);
+    path_ = std::move(name);
+    out_.open(path_, std::ios::binary | std::ios::trunc);
+    if (!out_) {
+      throw std::runtime_error{"model checker: cannot open spill file " +
+                               path_};
+    }
+  }
+
+  std::string dir_;
+  std::string path_;  ///< empty until the first append
   std::ofstream out_;
   std::uint64_t bytes_ = 0;
 };
@@ -1136,9 +1162,7 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   const std::size_t n_shards = visited.shard_count();
   visited.owner_insert(visited.shard_of(root.hash), root.hash);
 
-  SpillFile spill{config.spill_dir.empty()
-                      ? std::string{}
-                      : config.spill_dir + "/frontier.spill"};
+  SpillFile spill{config.spill_dir};
   const std::uint64_t budget = config.max_frontier_bytes;
   const bool can_spill = !config.spill_dir.empty() && budget != 0;
   std::vector<std::ifstream> spill_readers(threads);

@@ -13,11 +13,12 @@
 // InvariantAuditor invariants.
 //
 // Exploration is breadth-first over snapshot/restore (hv/snapshot.hpp)
-// with FNV-1a state hashing for dedup and a FIFO work queue, so runs are
-// deterministic and every counterexample trace is minimal (no shorter
-// operation sequence reaches that violating state). Violating states are
-// terminal: the checker reports the op sequence, the violated invariants,
-// and a state diff against the parent state, then does not expand further.
+// with Hypervisor::state_hash() as the dedup key and a FIFO work queue, so
+// runs are deterministic and every counterexample trace is minimal (no
+// shorter operation sequence reaches that violating state). Violating
+// states are terminal: the checker reports the op sequence, the violated
+// invariants, and a state diff against the parent state, then does not
+// expand further.
 //
 // The intended theorem, checked by tests and CI: under the 4.6 policy the
 // bounded space reaches the paper's XSA erroneous states (XSA-148 superpage
@@ -78,7 +79,9 @@ struct ModelCheckConfig {
   /// the budget spill to disk when spill_dir is set; with no spill_dir the
   /// budget only drives chunking and the frontier stays resident.
   std::uint64_t max_frontier_bytes = 0;
-  /// Directory for the frontier spill file (created by the caller). Spilled
+  /// Directory for the frontier spill file (created by the caller). The
+  /// file gets a unique name (frontier-XXXXXX.spill), so concurrent checks
+  /// may share the directory, and is deleted when the check ends. Spilled
   /// states store their op prefix + expected hash and are re-derived by
   /// replay on reload — reports are byte-identical with or without
   /// spilling; only the extra replay applications differ (ops_executed).

@@ -12,10 +12,12 @@
 //    write-what-where erroneous state through the arbitrary-access injector
 //    and classifies what the system did with it. No feedback, no memory.
 //
-//  - run_sequence_fuzzer: the coverage-guided engine (ROADMAP item 2,
-//    DESIGN.md §17). Iterations execute *hypercall traces* — sequences of
-//    FuzzOps spanning the whole guest-issuable surface plus the injector —
-//    against a warm platform (delta-rewound between runs, O(dirty)).
+//  - run_sequence_fuzzer: the coverage-guided engine (DESIGN.md §17).
+//    Iterations execute *hypercall traces* — sequences of FuzzOps spanning
+//    the whole guest-issuable surface plus the injector — against a warm
+//    platform. Between runs it is rewound to its boot baseline, and the
+//    rewind and the state hash cost what the trace dirtied, not the machine
+//    size (hv/snapshot.cpp, DESIGN.md §10).
 //    A CoverageMap keyed on (op kind × frame type × validation branch)
 //    is fed by a hv::CoverageHook planted in the validation engine; traces
 //    that light up new coverage enter a corpus and a mutation scheduler

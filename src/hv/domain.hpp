@@ -68,6 +68,10 @@ class Domain {
     return it == trap_table_.end() ? std::nullopt
                                    : std::optional<sim::Vaddr>{it->second};
   }
+  /// Every registered handler, by vector.
+  [[nodiscard]] const std::map<std::uint8_t, sim::Vaddr>& trap_table() const {
+    return trap_table_;
+  }
 
   // -- lifecycle --------------------------------------------------------------
   [[nodiscard]] bool crashed() const { return crashed_; }

@@ -94,6 +94,15 @@ class EventChannelOps {
   [[nodiscard]] State state() const {
     return State{ports_, handlers_, next_port_, total_sent_};
   }
+  /// In-place views of the port and handler maps (what state() copies).
+  [[nodiscard]] const std::map<DomainId, std::map<unsigned, Port>>& ports()
+      const {
+    return ports_;
+  }
+  [[nodiscard]] const std::set<std::pair<DomainId, unsigned>>& handlers()
+      const {
+    return handlers_;
+  }
   void restore(State state) {
     ports_ = std::move(state.ports);
     handlers_ = std::move(state.handlers);

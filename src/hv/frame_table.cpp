@@ -19,16 +19,26 @@ std::string to_string(PageType type) {
   return "invalid";
 }
 
-FrameTable::FrameTable(std::uint64_t frames) : info_(frames) {
+FrameTable::FrameTable(std::uint64_t frames) : info_(frames), log_{frames} {
   if (frames == 0) throw std::invalid_argument{"FrameTable: zero frames"};
 }
 
 PageInfo& FrameTable::info(sim::Mfn mfn) {
-  return info_.at(mfn.raw());
+  PageInfo& pi = info_.at(mfn.raw());
+  log_.note(mfn.raw());
+  return pi;
 }
 
 const PageInfo& FrameTable::info(sim::Mfn mfn) const {
   return info_.at(mfn.raw());
+}
+
+void FrameTable::hand_out(std::uint64_t raw, DomainId owner) {
+  PageInfo& pi = info_[raw];
+  pi = PageInfo{};
+  pi.owner = owner;
+  pi.ref_count = 1;
+  log_.note(raw);
 }
 
 std::optional<sim::Mfn> FrameTable::alloc(DomainId owner) {
@@ -36,35 +46,29 @@ std::optional<sim::Mfn> FrameTable::alloc(DomainId owner) {
   // FIFO free list once the machine fills up. Sequential allocation is the
   // predictability the XSA-212 exploit's value grooming banks on.
   std::uint64_t raw;
-  if (bump_ < info_.size()) {
-    raw = bump_++;
-  } else if (!free_list_.empty()) {
-    raw = free_list_.front();
-    free_list_.pop_front();
+  if (alloc_.bump < info_.size()) {
+    raw = alloc_.bump++;
+  } else if (!alloc_.free_list.empty()) {
+    raw = alloc_.free_list.front();
+    alloc_.free_list.pop_front();
   } else {
     return std::nullopt;
   }
-  PageInfo& pi = info_[raw];
-  pi = PageInfo{};
-  pi.owner = owner;
-  pi.ref_count = 1;
+  hand_out(raw, owner);
   return sim::Mfn{raw};
 }
 
 std::optional<sim::Mfn> FrameTable::alloc_prefer_recycled(DomainId owner) {
   std::uint64_t raw;
-  if (!free_list_.empty()) {
-    raw = free_list_.front();
-    free_list_.pop_front();
-  } else if (bump_ < info_.size()) {
-    raw = bump_++;
+  if (!alloc_.free_list.empty()) {
+    raw = alloc_.free_list.front();
+    alloc_.free_list.pop_front();
+  } else if (alloc_.bump < info_.size()) {
+    raw = alloc_.bump++;
   } else {
     return std::nullopt;
   }
-  PageInfo& pi = info_[raw];
-  pi = PageInfo{};
-  pi.owner = owner;
-  pi.ref_count = 1;
+  hand_out(raw, owner);
   return sim::Mfn{raw};
 }
 
@@ -73,15 +77,10 @@ std::optional<sim::Mfn> FrameTable::alloc_contiguous(DomainId owner,
   if (count == 0) return std::nullopt;
   // Contiguous runs only come from the never-allocated bump region; the
   // FIFO list is for single-frame churn.
-  if (bump_ + count > info_.size()) return std::nullopt;
-  const std::uint64_t start = bump_;
-  bump_ += count;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PageInfo& pi = info_[start + i];
-    pi = PageInfo{};
-    pi.owner = owner;
-    pi.ref_count = 1;
-  }
+  if (alloc_.bump + count > info_.size()) return std::nullopt;
+  const std::uint64_t start = alloc_.bump;
+  alloc_.bump += count;
+  for (std::uint64_t i = 0; i < count; ++i) hand_out(start + i, owner);
   return sim::Mfn{start};
 }
 
@@ -92,7 +91,7 @@ void FrameTable::free(sim::Mfn mfn) {
     throw std::logic_error{"freeing frame with live references"};
   }
   pi = PageInfo{};
-  free_list_.push_back(mfn.raw());
+  alloc_.free_list.push_back(mfn.raw());
 }
 
 std::vector<sim::Mfn> FrameTable::frames_of(DomainId owner) const {
@@ -104,7 +103,7 @@ std::vector<sim::Mfn> FrameTable::frames_of(DomainId owner) const {
 }
 
 std::uint64_t FrameTable::free_frames() const {
-  return free_list_.size() + (info_.size() - bump_);
+  return alloc_.free_list.size() + (info_.size() - alloc_.bump);
 }
 
 }  // namespace ii::hv

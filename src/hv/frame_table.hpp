@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "sim/dirty_log.hpp"
 #include "sim/types.hpp"
 
 namespace ii::hv {
@@ -92,14 +94,30 @@ struct PageInfo {
 /// number returned by `memory_exchange` has attacker-chosen low bits, and a
 /// FIFO free list makes frame numbers cycle predictably, just like the
 /// paper's real-world exploit relied on allocator predictability.
+///
+/// Like PhysicalMemory, the table keeps a sim::DirtyLog of the entries
+/// handed out for writing: the mutable info() and the allocator note the
+/// frame, so the state digest and the snapshot rewind (hv/snapshot.cpp)
+/// visit only entries that may have changed.
 class FrameTable {
  public:
   explicit FrameTable(std::uint64_t frames);
 
   [[nodiscard]] std::uint64_t frame_count() const { return info_.size(); }
 
+  /// Mutable access logs `mfn` as written; read through the const overload
+  /// where no write follows.
   [[nodiscard]] PageInfo& info(sim::Mfn mfn);
   [[nodiscard]] const PageInfo& info(sim::Mfn mfn) const;
+
+  /// Entries handed out for writing since `reader` last synced.
+  [[nodiscard]] std::span<const std::uint64_t> dirty_frames(
+      sim::DirtyReader reader) const {
+    return log_.since_sync(reader);
+  }
+  /// Start `reader`'s log afresh. Const because it changes what a reader
+  /// has seen, not the table.
+  void sync_dirty(sim::DirtyReader reader) const { log_.sync(reader); }
 
   /// Allocate one free frame for `owner`. Returns nullopt when memory is
   /// exhausted. The frame comes back with type None, ref_count 1.
@@ -130,21 +148,21 @@ class FrameTable {
   /// semantically observable: the XSA-212 grooming depends on it, and a
   /// restored state must hand out the same frames as the original would.
   struct AllocatorState {
-    std::deque<std::uint64_t> free_list;
-    std::uint64_t bump = 0;
+    std::deque<std::uint64_t> free_list;  ///< FIFO
+    std::uint64_t bump = 0;               ///< next never-allocated frame
   };
-  [[nodiscard]] AllocatorState allocator_state() const {
-    return AllocatorState{free_list_, bump_};
+  [[nodiscard]] const AllocatorState& allocator_state() const {
+    return alloc_;
   }
-  void restore_allocator(AllocatorState state) {
-    free_list_ = std::move(state.free_list);
-    bump_ = state.bump;
-  }
+  void restore_allocator(const AllocatorState& state) { alloc_ = state; }
 
  private:
+  /// Reset `raw` to a fresh allocation owned by `owner`.
+  void hand_out(std::uint64_t raw, DomainId owner);
+
   std::vector<PageInfo> info_;
-  std::deque<std::uint64_t> free_list_;  // FIFO
-  std::uint64_t bump_ = 0;               // next never-allocated frame
+  AllocatorState alloc_;
+  mutable sim::DirtyLog log_;
 };
 
 }  // namespace ii::hv

@@ -119,6 +119,9 @@ class GrantOps {
     return tables_;
   }
 
+  /// The handle the next map_grant returns.
+  [[nodiscard]] GrantHandle next_handle() const { return next_handle_; }
+
   /// Complete grant state for hv/snapshot.hpp. GrantTable, GrantEntry and
   /// GrantMapping are plain values, so copying the maps captures everything
   /// — including the handle counter, which is guest-visible (a restored

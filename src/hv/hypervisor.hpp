@@ -16,6 +16,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hv/abi.hpp"
@@ -51,7 +52,13 @@ struct HvCowState;      // snapshot.hpp
 struct SnapshotStats {
   std::uint64_t hash_calls = 0;        ///< state_hash() invocations
   std::uint64_t frames_rehashed = 0;   ///< frame digests recomputed
-  std::uint64_t frames_hash_cached = 0;  ///< frame digests reused
+  /// Logged frames whose digest was still current (written, then rewound
+  /// to the generation it was computed at).
+  std::uint64_t frames_hash_cached = 0;
+  /// Memory frames plus PageInfo entries that hashes, captures and rewinds
+  /// examined: the dirty logs' entries, or every frame on a full hash, a
+  /// full restore, or a capture or rewind against an unsynced baseline.
+  std::uint64_t frames_visited = 0;
   std::uint64_t full_restores = 0;
   std::uint64_t delta_restores = 0;    ///< both restore_delta overloads
   std::uint64_t frames_copied = 0;     ///< frames written by restores
@@ -68,6 +75,7 @@ struct SnapshotStats {
     hash_calls += o.hash_calls;
     frames_rehashed += o.frames_rehashed;
     frames_hash_cached += o.frames_hash_cached;
+    frames_visited += o.frames_visited;
     full_restores += o.full_restores;
     delta_restores += o.delta_restores;
     frames_copied += o.frames_copied;
@@ -79,6 +87,8 @@ struct SnapshotStats {
     cow_frames_shared += o.cow_frames_shared;
     return *this;
   }
+
+  friend bool operator==(const SnapshotStats&, const SnapshotStats&) = default;
 };
 
 /// Construction parameters.
@@ -230,21 +240,33 @@ class Hypervisor {
   void report_cpu_hang(const std::string& reason);
 
   // --------------------------------------------------------------- snapshot
+  // Capture, rewind and the state digest (snapshot.cpp). Their cost follows
+  // the frames an execution dirtied, not the machine size (DESIGN.md §10):
+  // PhysicalMemory and the FrameTable log every written frame, and these
+  // paths read the logs.
+  //
+  // Rewinds and captures are O(dirty) against the *synced* baseline: the
+  // snapshot most recently taken by snapshot(), installed by restore(), or
+  // rewound to by restore_delta / restore_cow. Against any other snapshot
+  // they stay correct but sweep every frame, and a restore then makes its
+  // target the synced baseline.
+
   /// Capture the complete mutable machine state — physical memory image,
   /// frame table (incl. allocator), domains, grant and event-channel state,
-  /// liveness flags — as a value (snapshot.cpp). A snapshot is only valid
-  /// for restoring onto the *same* Hypervisor instance (boot-time layout —
-  /// xen tables, IDT base, policy — is not captured because it never
-  /// changes after construction). This is what lets the bounded model
-  /// checker (src/analysis) explore the hypercall state machine by
-  /// checkpoint/restore instead of replaying from boot.
+  /// liveness flags — as a value, and make it the synced baseline. A
+  /// snapshot is only valid for restoring onto the *same* Hypervisor
+  /// instance (boot-time layout — xen tables, IDT base, policy — is not
+  /// captured because it never changes after construction). This is what
+  /// lets the bounded model checker (src/analysis) explore the hypercall
+  /// state machine by checkpoint/restore instead of replaying from boot.
   [[nodiscard]] HvSnapshot snapshot() const;
+  /// Full restore: copies every frame and makes `snap` the synced baseline.
   void restore(const HvSnapshot& snap);
 
   /// Capture the current state as a delta against `base` (a full snapshot
   /// previously taken from this machine): only frames written since the
   /// baseline, changed frame-table entries, and the small bookkeeping in
-  /// full. O(dirty frames + bookkeeping), no byte comparisons.
+  /// full. No byte comparisons.
   [[nodiscard]] HvDelta snapshot_delta(const HvSnapshot& base) const;
 
   /// Restore back to `base`, copying only frames written since it was
@@ -277,7 +299,7 @@ class Hypervisor {
   /// onto this machine — every frame written since then (generation >
   /// marker) gets a new block, every other diverged frame must be present
   /// in `parent`. Pass parent == nullptr when the machine was last rewound
-  /// to `base` itself (all diverged frames are then fresh). O(dirty).
+  /// to `base` itself (all diverged frames are then fresh).
   [[nodiscard]] HvCowState snapshot_cow(const HvSnapshot& base,
                                         const HvCowState* parent,
                                         std::uint64_t gen_marker) const;
@@ -290,19 +312,23 @@ class Hypervisor {
   /// frames copied.
   std::uint64_t restore_cow(const HvSnapshot& base, const HvCowState& cow);
 
-  /// 64-bit FNV-1a digest of the semantically observable state (memory,
-  /// frame table + allocator, domains with canonicalized pin order, grant
-  /// and event-channel state, liveness flags; console excluded). Two states
+  /// Digest of the semantically observable state (memory, frame table +
+  /// allocator, domains with canonicalized pin order, grant and
+  /// event-channel state, liveness flags; console excluded). Two states
   /// with equal hashes behave identically under every further hypercall —
   /// the model checker's dedup key.
   ///
-  /// Incremental: the memory contribution recombines cached per-frame
-  /// digests and only re-hashes frames whose write generation moved since
-  /// the digest was computed (PhysicalMemory's dirty tracking).
+  /// The digest is an order-independent sum with one term per memory frame
+  /// (mixing its MFN with the 64-bit FNV-1a digest of its bytes) and one
+  /// per PageInfo, plus a sequential word hash of the small bookkeeping.
+  /// It depends only on the state, never on the path that reached it or on
+  /// the machine that computed it. Incremental: only the terms of frames
+  /// the dirty logs report since the previous call are recomputed, and a
+  /// memory frame's bytes are re-read only when its write generation moved.
   [[nodiscard]] std::uint64_t state_hash() const;
 
   /// Same digest computed from scratch, ignoring and not touching the
-  /// per-frame digest cache. Exists so tests can assert the incremental
+  /// cached terms or the logs. Exists so tests can assert the incremental
   /// path never drifts; always equals state_hash().
   [[nodiscard]] std::uint64_t state_hash_full() const;
 
@@ -463,18 +489,41 @@ class Hypervisor {
     if (cov_ != nullptr) cov_->on_branch(b, t);
   }
 
-  // Per-frame digest cache for the incremental state_hash() (snapshot.cpp).
-  // digest_gen_[m] holds the PhysicalMemory generation the cached digest
-  // was computed at; 0 never matches a real generation. Mutable: the cache
-  // is an optimization of a const observation, not state.
-  mutable std::vector<std::uint64_t> frame_digest_;
-  mutable std::vector<std::uint64_t> frame_digest_gen_;
+  // The incremental state digest (snapshot.cpp). Mutable: the cached
+  // terms are an optimization of a const observation, not state.
+  // mem_term_gen_[m] is the write generation mem_term_[m] was computed at;
+  // digest_sum_ is the sum of every memory and PageInfo term. Empty until
+  // the first state_hash() computes every term.
+  mutable std::vector<std::uint64_t> mem_term_;
+  mutable std::vector<std::uint64_t> mem_term_gen_;
+  mutable std::vector<std::uint64_t> info_term_;
+  mutable std::uint64_t digest_sum_ = 0;
+  /// HvSnapshot::id of the synced baseline (0: none): the snapshot the
+  /// Rewind readers of both dirty logs were last synced to.
+  mutable std::uint64_t rewind_base_ = 0;
   mutable SnapshotStats snap_stats_;
 
-  // state_hash / state_hash_full shared body (snapshot.cpp).
-  [[nodiscard]] std::uint64_t state_hash_impl(bool use_cache) const;
-  /// Hash of everything except the memory image (snapshot.cpp).
-  void hash_bookkeeping(class StateHasher& h) const;
+  // snapshot.cpp helpers.
+  [[nodiscard]] std::uint64_t bookkeeping_digest() const;
+  /// Make `base` the synced baseline; the machine must be in its state,
+  /// apart from frames written after this call.
+  void sync_rewind(std::uint64_t base_id) const;
+  /// Frames to examine against `base`, ascending: `log` (a Rewind log)
+  /// when `base` is the synced baseline, every frame otherwise.
+  [[nodiscard]] std::vector<std::uint64_t> rewind_set(
+      const HvSnapshot& base, std::span<const std::uint64_t> log) const;
+  /// Frame-table entries differing from `base`, ascending.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, PageInfo>> changed_info(
+      const HvSnapshot& base) const;
+  /// Rewind every memory frame and PageInfo diverged from `base` except
+  /// the memory frames in `overlay` (ascending; the caller writes them
+  /// next), then make `base` the synced baseline. Returns frames copied.
+  std::uint64_t rewind_to(const HvSnapshot& base,
+                          std::span<const std::uint64_t> overlay);
+  template <class State>
+  void capture_bookkeeping(State& s) const;
+  template <class State>
+  void restore_bookkeeping(const State& s);
 };
 
 }  // namespace ii::hv

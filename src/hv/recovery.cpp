@@ -365,10 +365,13 @@ RecoveryReport Hypervisor::recover() {
   {
     obs::ScopedSpan span{prof, obs::kSpanFrameTable};
     for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-      PageInfo& pi = frames_.info(sim::Mfn{m});
-      if (pi.owner == kDomXen || pi.owner == kDomInvalid) continue;
-      if (pi.type != PageType::None || pi.type_count != 0 ||
-          pi.ref_count != 1 || pi.validated) {
+      // Read through the const view: only the entries rewritten below are
+      // logged as dirty, so the next hash and rewind visit just those.
+      const PageInfo& cur = std::as_const(frames_).info(sim::Mfn{m});
+      if (cur.owner == kDomXen || cur.owner == kDomInvalid) continue;
+      if (cur.type != PageType::None || cur.type_count != 0 ||
+          cur.ref_count != 1 || cur.validated) {
+        PageInfo& pi = frames_.info(sim::Mfn{m});
         pi.type = PageType::None;
         pi.type_count = 0;
         pi.ref_count = 1;

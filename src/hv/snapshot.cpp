@@ -1,197 +1,357 @@
 // Hypervisor state capture/restore and the canonical state digest
-// (see snapshot.hpp for the model).
+// (see snapshot.hpp for the model, DESIGN.md §10 for the costs).
 //
-// The memory contribution to state_hash() is incremental: each frame's
-// FNV-1a digest is cached against the frame's PhysicalMemory write
-// generation, and the machine hash recombines the per-frame digests (one
-// u64 each) — so a hash after k frame writes re-reads 4 KiB * k, not the
-// whole machine. Delta capture/restore use the same generations to decide
-// which frames to copy; no byte comparisons anywhere.
+// Both follow the frames an execution dirtied, not the machine size.
+// state_hash() is an order-independent sum with one term per memory frame
+// and one per PageInfo: the Digest readers of the two dirty logs
+// (sim/dirty_log.hpp) name the frames whose terms may have moved since the
+// previous hash, and a memory frame's bytes are re-read only when its
+// write generation moved. Capture and rewind against the synced baseline
+// visit the Rewind logs' frames; against any other baseline they sweep
+// every frame. Generations decide which frames to copy — no byte
+// comparisons anywhere.
 #include "hv/snapshot.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <numeric>
+#include <ranges>
 #include <stdexcept>
+#include <utility>
 
 namespace ii::hv {
 
 namespace {
 
-/// 64-bit FNV-1a. Not cryptographic — a dedup key for the model checker's
-/// visited-state set, chosen for determinism across runs and platforms.
-class Fnv1a {
+using sim::DirtyReader;
+
+/// 64-bit FNV-1a of one frame's bytes. Not cryptographic — chosen for
+/// determinism across runs and platforms. Word-at-a-time: one 8-byte load
+/// feeding eight dependent FNV steps beats a byte load per step, and the
+/// chunk is consumed LSB-first (memory order on little-endian), so the
+/// value equals the byte-at-a-time loop's.
+std::uint64_t frame_digest(const sim::PhysicalMemory& mem, sim::Mfn mfn) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  const std::span<const std::uint8_t> data = mem.frame_bytes(mfn);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < data.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data.data() + i, 8);
+    for (int b = 0; b < 8; ++b) h = (h ^ ((w >> (8 * b)) & 0xFF)) * kPrime;
+  }
+  return h;
+}
+
+/// Murmur3's 64-bit finalizer: a bijective avalanche mix.
+constexpr std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDULL;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+/// Lane salts keep a memory frame's term apart from the PageInfo term of
+/// the same MFN.
+constexpr std::uint64_t kMemLane = 0x6D656D5F6672616DULL;
+constexpr std::uint64_t kInfoLane = 0x706167655F696E66ULL;
+
+/// One summand of the state digest: `value` sitting at `mfn` of `lane`.
+constexpr std::uint64_t term(std::uint64_t lane, std::uint64_t mfn,
+                             std::uint64_t value) {
+  return fmix64(value ^ fmix64(mfn + lane));
+}
+
+std::uint64_t mem_term(const sim::PhysicalMemory& mem, std::uint64_t mfn) {
+  return term(kMemLane, mfn, frame_digest(mem, sim::Mfn{mfn}));
+}
+
+std::uint64_t info_term(std::uint64_t mfn, const PageInfo& pi) {
+  const std::uint64_t tag = std::uint64_t{pi.owner} |
+                            std::uint64_t{static_cast<std::uint8_t>(pi.type)}
+                                << 16 |
+                            std::uint64_t{pi.validated} << 24;
+  const std::uint64_t counts =
+      std::uint64_t{pi.type_count} | std::uint64_t{pi.ref_count} << 32;
+  return term(kInfoLane, mfn, fmix64(counts + fmix64(tag)));
+}
+
+/// Sequential hash of the bookkeeping, one 64-bit field per step. Each
+/// step is a bijection of the running value for a fixed field, so no two
+/// field values fold alike from the same prefix.
+class WordHasher {
  public:
-  void u8(std::uint8_t v) { hash_ = (hash_ ^ v) * kPrime; }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  void add(std::uint64_t v) {
+    h_ = (h_ ^ v) * 0x9E3779B97F4A7C15ULL;
+    h_ ^= h_ >> 32;
   }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void bytes(std::span<const std::uint8_t> data) {
-    // Word-at-a-time: one 8-byte load feeding eight dependent FNV steps
-    // beats a byte load per step. The digest is byte-order-identical to the
-    // one-byte-per-iteration loop (the chunk is consumed LSB-first, i.e. in
-    // memory order on little-endian, and std::memcpy keeps it portable).
-    std::size_t i = 0;
-    std::uint64_t h = hash_;
-    for (; i + 8 <= data.size(); i += 8) {
-      std::uint64_t w = 0;
-      std::memcpy(&w, data.data() + i, 8);
-      h = (h ^ (w & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 8) & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 16) & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 24) & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 32) & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 40) & 0xFF)) * kPrime;
-      h = (h ^ ((w >> 48) & 0xFF)) * kPrime;
-      h = (h ^ (w >> 56)) * kPrime;
-    }
-    hash_ = h;
-    for (; i < data.size(); ++i) u8(data[i]);
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
+  [[nodiscard]] std::uint64_t value() const { return fmix64(h_); }
 
  private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t hash_ = 14695981039346656037ULL;
+  std::uint64_t h_ = 0x243F6A8885A308D3ULL;
 };
 
-std::uint64_t frame_digest(const sim::PhysicalMemory& mem, sim::Mfn mfn) {
-  Fnv1a h;
-  h.bytes(mem.frame_bytes(mfn));
-  return h.value();
+/// Identity for the next snapshot: unique in the process, so a snapshot
+/// carried to another machine can never pass for that machine's own.
+std::uint64_t next_snapshot_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void check_shape(const HvSnapshot& base, const sim::PhysicalMemory& mem,
+                 const FrameTable& frames, const char* what) {
+  if (base.memory.size() != mem.byte_size() ||
+      base.frame_gens.size() != mem.frame_count() ||
+      base.frames.size() != frames.frame_count()) {
+    throw std::logic_error{std::string{what} +
+                           ": baseline shape does not match this machine"};
+  }
+}
+
+std::span<const std::uint8_t> base_frame(const HvSnapshot& base,
+                                         std::uint64_t mfn) {
+  return {base.memory.data() + mfn * sim::kPageSize, sim::kPageSize};
 }
 
 }  // namespace
 
-/// Thin named wrapper so hypervisor.hpp can forward-declare the hasher the
-/// bookkeeping walk writes into without exposing the FNV internals.
-class StateHasher : public Fnv1a {};
+// ------------------------------------------------------------------ digest
 
-void Hypervisor::hash_bookkeeping(StateHasher& h) const {
-  // Frame table and the allocator's observable hidden state (future
-  // allocations depend on it, so it is semantically part of the state).
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    const PageInfo& pi = frames_.info(sim::Mfn{m});
-    h.u64(pi.owner);
-    h.u8(static_cast<std::uint8_t>(pi.type));
-    h.u64(pi.type_count);
-    h.u64(pi.ref_count);
-    h.boolean(pi.validated);
-  }
-  const FrameTable::AllocatorState alloc = frames_.allocator_state();
-  h.u64(alloc.bump);
-  for (const std::uint64_t f : alloc.free_list) h.u64(f);
+std::uint64_t Hypervisor::bookkeeping_digest() const {
+  WordHasher h;
+  // The allocator's observable hidden state: future allocations depend on
+  // it, so it is semantically part of the state.
+  const FrameTable::AllocatorState& alloc = frames_.allocator_state();
+  h.add(alloc.bump);
+  h.add(alloc.free_list.size());
+  for (const std::uint64_t f : alloc.free_list) h.add(f);
 
-  // Domains (std::map iterates in id order). The pin list is canonicalized
-  // by sorting: pin order is an artifact of operation history, not state —
-  // unpin works per-mfn regardless of order.
+  // Domains (std::map iterates in id order). Pins are summed, not folded:
+  // pin order is an artifact of operation history, not state — unpin works
+  // per-mfn regardless of order.
   for (const auto& [id, dom] : domains_) {
-    h.u64(id);
-    h.boolean(dom->crashed());
-    h.u64(dom->cr3().raw());
-    h.u64(dom->start_info_mfn().raw());
-    h.u64(dom->nr_pages());
+    h.add(id);
+    h.add(dom->crashed());
+    h.add(dom->cr3().raw());
+    h.add(dom->start_info_mfn().raw());
+    h.add(dom->nr_pages());
     for (std::uint64_t p = 0; p < dom->nr_pages(); ++p) {
       const auto mfn = dom->p2m(sim::Pfn{p});
-      h.u64(mfn ? mfn->raw() + 1 : 0);
+      h.add(mfn ? mfn->raw() + 1 : 0);
     }
-    std::vector<std::uint64_t> pins;
-    for (const sim::Mfn m : dom->pinned_tables()) pins.push_back(m.raw());
-    std::sort(pins.begin(), pins.end());
-    for (const std::uint64_t p : pins) h.u64(p);
-    for (std::uint8_t v = 0;; ++v) {
-      if (const auto handler = dom->trap_handler(v)) {
-        h.u8(v);
-        h.u64(handler->raw());
-      }
-      if (v == 255) break;
+    std::uint64_t pins = 0;
+    for (const sim::Mfn m : dom->pinned_tables()) pins += fmix64(m.raw() + 1);
+    h.add(dom->pinned_tables().size());
+    h.add(pins);
+    h.add(dom->trap_table().size());
+    for (const auto& [vector, handler] : dom->trap_table()) {
+      h.add(vector);
+      h.add(handler.raw());
     }
   }
-  h.u64(next_domid_);
+  h.add(next_domid_);
 
   // Grant state, including the guest-visible handle counter.
-  const GrantOps::State grants = grants_.state();
-  for (const auto& [id, table] : grants.tables) {
-    h.u64(id);
-    h.u64(table.version());
+  for (const auto& [id, table] : grants_.tables()) {
+    h.add(id);
+    h.add(table.version());
     for (const GrantEntry& e : table.entries()) {
-      h.u64(e.peer);
-      h.u64(e.pfn.raw());
-      h.boolean(e.readonly);
-      h.boolean(e.in_use);
-      h.u64(e.maps);
+      h.add(e.peer);
+      h.add(e.pfn.raw());
+      h.add(std::uint64_t{e.readonly} | std::uint64_t{e.in_use} << 1);
+      h.add(e.maps);
     }
-    for (const sim::Mfn f : table.status_frames()) h.u64(f.raw());
+    h.add(table.status_frames().size());
+    for (const sim::Mfn f : table.status_frames()) h.add(f.raw());
   }
-  for (const auto& [handle, m] : grants.mappings) {
-    h.u64(handle);
-    h.u64(m.mapper);
-    h.u64(m.granter);
-    h.u64(m.ref);
-    h.u64(m.frame.raw());
-    h.boolean(m.readonly);
+  h.add(grants_.mappings().size());
+  for (const auto& [handle, m] : grants_.mappings()) {
+    h.add(handle);
+    h.add(m.mapper);
+    h.add(m.granter);
+    h.add(m.ref);
+    h.add(m.frame.raw());
+    h.add(m.readonly);
   }
-  h.u64(grants.next_handle);
+  h.add(grants_.next_handle());
 
   // Event channels (pending/mask bits are in the memory image already).
-  const EventChannelOps::State events = events_.state();
-  for (const auto& [id, ports] : events.ports) {
-    h.u64(id);
+  for (const auto& [id, ports] : events_.ports()) {
+    h.add(id);
+    h.add(ports.size());
     for (const auto& [port, p] : ports) {
-      h.u64(port);
-      h.boolean(p.allocated);
-      h.u64(p.remote);
-      h.boolean(p.bound);
-      h.u64(p.peer_domain);
-      h.u64(p.peer_port);
+      h.add(port);
+      h.add(std::uint64_t{p.allocated} | std::uint64_t{p.bound} << 1);
+      h.add(p.remote);
+      h.add(p.peer_domain);
+      h.add(p.peer_port);
     }
   }
-  for (const auto& [id, port] : events.handlers) {
-    h.u64(id);
-    h.u64(port);
+  h.add(events_.handlers().size());
+  for (const auto& [id, port] : events_.handlers()) {
+    h.add(id);
+    h.add(port);
   }
 
   // Liveness flags; the console ring is log-only and excluded.
-  h.boolean(crashed_);
-  h.boolean(cpu_hung_);
-}
-
-std::uint64_t Hypervisor::state_hash_impl(bool use_cache) const {
-  ++snap_stats_.hash_calls;
-  StateHasher h;
-
-  // Physical memory image: one cached-or-recomputed digest per frame. The
-  // machine hash consumes the digests (not the raw bytes), so the combined
-  // value is identical whichever frames came from the cache.
-  const std::uint64_t n = mem_->frame_count();
-  if (frame_digest_.size() != n) {
-    frame_digest_.assign(n, 0);
-    frame_digest_gen_.assign(n, 0);  // 0 never matches a live generation
-  }
-  for (std::uint64_t m = 0; m < n; ++m) {
-    const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
-    if (!use_cache || frame_digest_gen_[m] != gen) {
-      frame_digest_[m] = frame_digest(*mem_, sim::Mfn{m});
-      frame_digest_gen_[m] = gen;
-      ++snap_stats_.frames_rehashed;
-    } else {
-      ++snap_stats_.frames_hash_cached;
-    }
-    h.u64(frame_digest_[m]);
-  }
-
-  hash_bookkeeping(h);
+  h.add(std::uint64_t{crashed_} | std::uint64_t{cpu_hung_} << 1);
   return h.value();
 }
 
-std::uint64_t Hypervisor::state_hash() const { return state_hash_impl(true); }
+std::uint64_t Hypervisor::state_hash() const {
+  ++snap_stats_.hash_calls;
+  // Replace the terms of the given frames; a memory frame's bytes are
+  // re-read only when its generation moved since its term was computed.
+  const auto update = [&](const auto& mem_frames, const auto& info_frames) {
+    for (const std::uint64_t m : mem_frames) {
+      ++snap_stats_.frames_visited;
+      const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
+      if (mem_term_gen_[m] == gen) {
+        ++snap_stats_.frames_hash_cached;
+        continue;
+      }
+      const std::uint64_t t = mem_term(*mem_, m);
+      digest_sum_ += t - mem_term_[m];
+      mem_term_[m] = t;
+      mem_term_gen_[m] = gen;
+      ++snap_stats_.frames_rehashed;
+    }
+    for (const std::uint64_t m : info_frames) {
+      ++snap_stats_.frames_visited;
+      const std::uint64_t t = info_term(m, frames_.info(sim::Mfn{m}));
+      digest_sum_ += t - info_term_[m];
+      info_term_[m] = t;
+    }
+  };
+  const std::uint64_t n = mem_->frame_count();
+  if (mem_term_.size() != n) {
+    // First hash of this machine: every term starts at zero, computed at
+    // the never-observed generation 0, so every frame is recomputed once.
+    // From here on the Digest logs say which terms can have moved.
+    mem_term_.assign(n, 0);
+    mem_term_gen_.assign(n, 0);
+    info_term_.assign(n, 0);
+    digest_sum_ = 0;
+    const auto all = std::views::iota(std::uint64_t{0}, n);
+    update(all, all);
+  } else {
+    update(mem_->dirty_frames(DirtyReader::Digest),
+           frames_.dirty_frames(DirtyReader::Digest));
+  }
+  mem_->sync_dirty(DirtyReader::Digest);
+  frames_.sync_dirty(DirtyReader::Digest);
+  return fmix64(digest_sum_ + bookkeeping_digest());
+}
 
 std::uint64_t Hypervisor::state_hash_full() const {
-  return state_hash_impl(false);
+  ++snap_stats_.hash_calls;
+  const std::uint64_t n = mem_->frame_count();
+  std::uint64_t sum = 0;
+  for (std::uint64_t m = 0; m < n; ++m) {
+    sum += mem_term(*mem_, m) + info_term(m, frames_.info(sim::Mfn{m}));
+  }
+  snap_stats_.frames_rehashed += n;
+  snap_stats_.frames_visited += 2 * n;
+  return fmix64(sum + bookkeeping_digest());
 }
+
+// --------------------------------------------------------- shared helpers
+
+void Hypervisor::sync_rewind(std::uint64_t base_id) const {
+  mem_->sync_dirty(DirtyReader::Rewind);
+  frames_.sync_dirty(DirtyReader::Rewind);
+  rewind_base_ = base_id;
+}
+
+std::vector<std::uint64_t> Hypervisor::rewind_set(
+    const HvSnapshot& base, std::span<const std::uint64_t> log) const {
+  std::vector<std::uint64_t> set;
+  if (base.id != 0 && base.id == rewind_base_) {
+    set.assign(log.begin(), log.end());
+    std::sort(set.begin(), set.end());
+  } else {
+    set.resize(mem_->frame_count());
+    std::iota(set.begin(), set.end(), std::uint64_t{0});
+  }
+  snap_stats_.frames_visited += set.size();
+  return set;
+}
+
+std::vector<std::pair<std::uint64_t, PageInfo>> Hypervisor::changed_info(
+    const HvSnapshot& base) const {
+  std::vector<std::pair<std::uint64_t, PageInfo>> out;
+  for (const std::uint64_t m :
+       rewind_set(base, frames_.dirty_frames(DirtyReader::Rewind))) {
+    const PageInfo& pi = frames_.info(sim::Mfn{m});
+    if (!(pi == base.frames[m])) out.emplace_back(m, pi);
+  }
+  return out;
+}
+
+std::uint64_t Hypervisor::rewind_to(const HvSnapshot& base,
+                                    std::span<const std::uint64_t> overlay) {
+  // Both sets are taken before anything is written: writes below append
+  // to the logs, and the sync decision must not change mid-rewind.
+  const std::vector<std::uint64_t> mem_set =
+      rewind_set(base, mem_->dirty_frames(DirtyReader::Rewind));
+  const std::vector<std::uint64_t> info_set =
+      rewind_set(base, frames_.dirty_frames(DirtyReader::Rewind));
+
+  std::uint64_t copied = 0;
+  std::size_t o = 0;  // cursor into overlay, ascending
+  for (const std::uint64_t m : mem_set) {
+    while (o < overlay.size() && overlay[o] < m) ++o;
+    if (o < overlay.size() && overlay[o] == m) continue;  // caller writes it
+    if (mem_->frame_generation(sim::Mfn{m}) == base.frame_gens[m]) continue;
+    mem_->restore_frame(sim::Mfn{m}, base_frame(base, m), base.frame_gens[m]);
+    ++copied;
+  }
+  for (const std::uint64_t m : info_set) {
+    if (!(std::as_const(frames_).info(sim::Mfn{m}) == base.frames[m])) {
+      frames_.info(sim::Mfn{m}) = base.frames[m];
+    }
+  }
+  // Every frame outside `overlay` now matches `base`, so from here the
+  // logs record exactly the divergence from it.
+  sync_rewind(base.id);
+  return copied;
+}
+
+template <class State>
+void Hypervisor::capture_bookkeeping(State& s) const {
+  s.allocator = frames_.allocator_state();
+  for (const auto& [id, dom] : domains_) s.domains.push_back(*dom);
+  s.next_domid = next_domid_;
+  s.grants = grants_.state();
+  s.events = events_.state();
+  s.crashed = crashed_;
+  s.cpu_hung = cpu_hung_;
+  s.console = console_;
+  s.hash = state_hash();
+}
+
+template <class State>
+void Hypervisor::restore_bookkeeping(const State& s) {
+  frames_.restore_allocator(s.allocator);
+  domains_.clear();
+  for (const Domain& dom : s.domains) {
+    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
+  }
+  next_domid_ = s.next_domid;
+  grants_.restore(s.grants);
+  events_.restore(s.events);
+  crashed_ = s.crashed;
+  cpu_hung_ = s.cpu_hung;
+  console_ = s.console;
+}
+
+// ------------------------------------------------------------ full images
 
 HvSnapshot Hypervisor::snapshot() const {
   HvSnapshot snap;
+  snap.id = next_snapshot_id();
   snap.memory.resize(mem_->byte_size());
   mem_->read(sim::Paddr{0}, snap.memory);
   const auto gens = mem_->frame_generations();
@@ -202,63 +362,40 @@ HvSnapshot Hypervisor::snapshot() const {
   for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
     snap.frames.push_back(frames_.info(sim::Mfn{m}));
   }
-  snap.allocator = frames_.allocator_state();
-
-  for (const auto& [id, dom] : domains_) snap.domains.push_back(*dom);
-  snap.next_domid = next_domid_;
-
-  snap.grants = grants_.state();
-  snap.events = events_.state();
-
-  snap.crashed = crashed_;
-  snap.cpu_hung = cpu_hung_;
-  snap.console = console_;
-  snap.hash = state_hash();
+  capture_bookkeeping(snap);
+  sync_rewind(snap.id);
   return snap;
 }
 
 void Hypervisor::restore(const HvSnapshot& snap) {
-  if (snap.memory.size() != mem_->byte_size() ||
-      snap.frames.size() != frames_.frame_count() ||
-      snap.frame_gens.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "HvSnapshot::restore: snapshot shape does not match this machine"};
-  }
+  check_shape(snap, *mem_, frames_, "HvSnapshot::restore");
   ++snap_stats_.full_restores;
-  snap_stats_.frames_copied += mem_->frame_count();
+  const std::uint64_t n = mem_->frame_count();
+  snap_stats_.frames_copied += n;
+  snap_stats_.frames_visited += 2 * n;
   // Whole-image restore re-establishes the captured (generation, contents)
-  // pairs, so frame digests cached at those generations stay valid.
+  // pairs, so digest terms cached at those generations stay valid; only
+  // entries that actually change are written, so only they are logged.
   mem_->restore_image(snap.memory, snap.frame_gens, snap.mem_generation);
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    frames_.info(sim::Mfn{m}) = snap.frames[m];
+  for (std::uint64_t m = 0; m < n; ++m) {
+    if (!(std::as_const(frames_).info(sim::Mfn{m}) == snap.frames[m])) {
+      frames_.info(sim::Mfn{m}) = snap.frames[m];
+    }
   }
-  frames_.restore_allocator(snap.allocator);
-
-  domains_.clear();
-  for (const Domain& dom : snap.domains) {
-    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
-  }
-  next_domid_ = snap.next_domid;
-
-  grants_.restore(snap.grants);
-  events_.restore(snap.events);
-
-  crashed_ = snap.crashed;
-  cpu_hung_ = snap.cpu_hung;
-  console_ = snap.console;
+  restore_bookkeeping(snap);
+  sync_rewind(snap.id);
 }
 
+// ------------------------------------------------------------------ deltas
+
 HvDelta Hypervisor::snapshot_delta(const HvSnapshot& base) const {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "snapshot_delta: baseline shape does not match this machine"};
-  }
+  check_shape(base, *mem_, frames_, "snapshot_delta");
   ++snap_stats_.delta_snapshots;
   HvDelta delta;
   delta.base_generation = base.mem_generation;
 
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
+  for (const std::uint64_t m :
+       rewind_set(base, mem_->dirty_frames(DirtyReader::Rewind))) {
     const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
     if (gen == base.frame_gens[m]) continue;  // same generation => same bytes
     delta.mem_frames.push_back(m);
@@ -267,78 +404,75 @@ HvDelta Hypervisor::snapshot_delta(const HvSnapshot& base) const {
     delta.mem_bytes.insert(delta.mem_bytes.end(), bytes.begin(), bytes.end());
   }
   snap_stats_.frames_delta_captured += delta.mem_frames.size();
-
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    const PageInfo& pi = frames_.info(sim::Mfn{m});
-    if (!(pi == base.frames[m])) delta.frames.emplace_back(m, pi);
-  }
-  delta.allocator = frames_.allocator_state();
-
-  for (const auto& [id, dom] : domains_) delta.domains.push_back(*dom);
-  delta.next_domid = next_domid_;
-  delta.grants = grants_.state();
-  delta.events = events_.state();
-  delta.crashed = crashed_;
-  delta.cpu_hung = cpu_hung_;
-  delta.console = console_;
-  delta.hash = state_hash();
+  delta.frames = changed_info(base);
+  capture_bookkeeping(delta);
   return delta;
 }
 
 std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base) {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
+  check_shape(base, *mem_, frames_, "restore_delta");
+  ++snap_stats_.delta_restores;
+  const std::uint64_t copied = rewind_to(base, {});
+  snap_stats_.frames_copied += copied;
+  restore_bookkeeping(base);
+  return copied;
+}
+
+std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base,
+                                        const HvDelta& delta, bool foreign) {
+  check_shape(base, *mem_, frames_, "restore_delta");
+  if (delta.base_generation != base.mem_generation) {
     throw std::logic_error{
-        "restore_delta: baseline shape does not match this machine"};
+        "restore_delta: delta was captured against a different baseline"};
   }
   ++snap_stats_.delta_restores;
-  std::uint64_t copied = 0;
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
-    if (mem_->frame_generation(sim::Mfn{m}) == base.frame_gens[m]) continue;
-    mem_->restore_frame(
-        sim::Mfn{m},
-        std::span{base.memory.data() + m * sim::kPageSize, sim::kPageSize},
-        base.frame_gens[m]);
+
+  // Frames the delta does not carry are identical to the baseline in the
+  // target state, so any that diverged here are rewound; then the delta's
+  // frames are applied. A foreign delta's generations belong to the
+  // machine that captured it and could collide with generations this
+  // machine already stamped on different bytes (poisoning the digest
+  // cache), so its frames go through write() — a fresh generation per
+  // frame. Rewinds always use the baseline's generations: `base` is this
+  // machine's own root, and an identically booted capturer shares its
+  // boot-time (generation, content) pairs.
+  std::uint64_t copied = rewind_to(base, delta.mem_frames);
+  for (std::size_t d = 0; d < delta.mem_frames.size(); ++d) {
+    const sim::Mfn mfn{delta.mem_frames[d]};
+    const std::span bytes{delta.mem_bytes.data() + d * sim::kPageSize,
+                          sim::kPageSize};
+    if (foreign) {
+      mem_->write(sim::mfn_to_paddr(mfn), bytes);
+    } else {
+      mem_->restore_frame(mfn, bytes, delta.mem_frame_gens[d]);
+    }
     ++copied;
   }
   snap_stats_.frames_copied += copied;
 
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    frames_.info(sim::Mfn{m}) = base.frames[m];
-  }
-  frames_.restore_allocator(base.allocator);
-  domains_.clear();
-  for (const Domain& dom : base.domains) {
-    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
-  }
-  next_domid_ = base.next_domid;
-  grants_.restore(base.grants);
-  events_.restore(base.events);
-  crashed_ = base.crashed;
-  cpu_hung_ = base.cpu_hung;
-  console_ = base.console;
+  for (const auto& [m, pi] : delta.frames) frames_.info(sim::Mfn{m}) = pi;
+  restore_bookkeeping(delta);
   return copied;
 }
+
+// ------------------------------------------------------------- CoW forest
 
 HvCowState Hypervisor::snapshot_cow(const HvSnapshot& base,
                                     const HvCowState* parent,
                                     std::uint64_t gen_marker) const {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "snapshot_cow: baseline shape does not match this machine"};
-  }
+  check_shape(base, *mem_, frames_, "snapshot_cow");
   ++snap_stats_.cow_captures;
   HvCowState cow;
 
-  // One ascending sweep, O(dirty) allocation: frames at their root
-  // generation resolve to the shared root; frames written after the marker
-  // (the op's own writes) are materialized into fresh blocks; everything
-  // else diverged from the root but untouched since the parent was restored,
-  // so it must be — and is — aliased from the parent node. The marker must
-  // have been read right after the parent restore, before any mutation.
+  // One ascending pass: frames at their root generation resolve to the
+  // shared root; frames written after the marker (the op's own writes) are
+  // materialized into fresh blocks; everything else diverged from the root
+  // but untouched since the parent was restored, so it must be — and is —
+  // aliased from the parent node. The marker must have been read right
+  // after the parent restore, before any mutation.
   std::size_t p = 0;  // cursor into parent->mem_frames, ascending
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
+  for (const std::uint64_t m :
+       rewind_set(base, mem_->dirty_frames(DirtyReader::Rewind))) {
     const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
     if (gen == base.frame_gens[m]) continue;  // same generation => same bytes
     if (gen > gen_marker) {
@@ -365,139 +499,33 @@ HvCowState Hypervisor::snapshot_cow(const HvSnapshot& base,
         "snapshot_cow: frame diverged before the capture marker but is "
         "absent from the parent node"};
   }
-
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    const PageInfo& pi = frames_.info(sim::Mfn{m});
-    if (!(pi == base.frames[m])) cow.frames.emplace_back(m, pi);
-  }
-  cow.allocator = frames_.allocator_state();
-  for (const auto& [id, dom] : domains_) cow.domains.push_back(*dom);
-  cow.next_domid = next_domid_;
-  cow.grants = grants_.state();
-  cow.events = events_.state();
-  cow.crashed = crashed_;
-  cow.cpu_hung = cpu_hung_;
-  cow.console = console_;
-  cow.hash = state_hash();
+  cow.frames = changed_info(base);
+  capture_bookkeeping(cow);
   return cow;
 }
 
 std::uint64_t Hypervisor::restore_cow(const HvSnapshot& base,
                                       const HvCowState& cow) {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "restore_cow: baseline shape does not match this machine"};
-  }
+  check_shape(base, *mem_, frames_, "restore_cow");
   ++snap_stats_.cow_restores;
-  std::uint64_t copied = 0;
 
-  // Same sweep as a foreign delta restore: node frames go through write()
-  // (CoW nodes carry no generations — they may have been captured on any
-  // identically booted machine), frames diverged from the root that the
-  // node does not carry are rewound to the root's boot-time generations.
-  std::size_t d = 0;
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
-    if (d < cow.mem_frames.size() && cow.mem_frames[d].first == m) {
-      mem_->write(sim::mfn_to_paddr(sim::Mfn{m}),
-                  std::span<const std::uint8_t>{cow.mem_frames[d].second->bytes});
-      ++copied;
-      ++d;
-      continue;
-    }
-    if (mem_->frame_generation(sim::Mfn{m}) != base.frame_gens[m]) {
-      mem_->restore_frame(
-          sim::Mfn{m},
-          std::span{base.memory.data() + m * sim::kPageSize, sim::kPageSize},
-          base.frame_gens[m]);
-      ++copied;
-    }
+  // Same shape as a foreign delta restore: frames diverged from the root
+  // that the node does not carry are rewound to the root's generations;
+  // node frames go through write() (CoW nodes carry no generations — they
+  // may have been captured on any identically booted machine).
+  std::vector<std::uint64_t> overlay;
+  overlay.reserve(cow.mem_frames.size());
+  for (const auto& [m, block] : cow.mem_frames) overlay.push_back(m);
+  std::uint64_t copied = rewind_to(base, overlay);
+  for (const auto& [m, block] : cow.mem_frames) {
+    mem_->write(sim::mfn_to_paddr(sim::Mfn{m}),
+                std::span<const std::uint8_t>{block->bytes});
+    ++copied;
   }
   snap_stats_.frames_copied += copied;
 
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    frames_.info(sim::Mfn{m}) = base.frames[m];
-  }
   for (const auto& [m, pi] : cow.frames) frames_.info(sim::Mfn{m}) = pi;
-  frames_.restore_allocator(cow.allocator);
-  domains_.clear();
-  for (const Domain& dom : cow.domains) {
-    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
-  }
-  next_domid_ = cow.next_domid;
-  grants_.restore(cow.grants);
-  events_.restore(cow.events);
-  crashed_ = cow.crashed;
-  cpu_hung_ = cow.cpu_hung;
-  console_ = cow.console;
-  return copied;
-}
-
-std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base,
-                                        const HvDelta& delta, bool foreign) {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "restore_delta: baseline shape does not match this machine"};
-  }
-  if (delta.base_generation != base.mem_generation) {
-    throw std::logic_error{
-        "restore_delta: delta was captured against a different baseline"};
-  }
-  ++snap_stats_.delta_restores;
-  std::uint64_t copied = 0;
-
-  // One ascending sweep: frames the delta carries get the delta's bytes and
-  // recorded generation; frames it does not carry are identical to the
-  // baseline in the target state, so any that have diverged here are
-  // rewound to the baseline. A foreign delta's generations belong to the
-  // machine that captured it and could collide with generations this
-  // machine already stamped on different bytes (poisoning the digest
-  // cache), so its frames go through write() — a fresh generation per
-  // frame. Rewinds always use the baseline's generations: `base` is this
-  // machine's own root, and an identically booted capturer shares its
-  // boot-time (generation, content) pairs.
-  std::size_t d = 0;
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
-    if (d < delta.mem_frames.size() && delta.mem_frames[d] == m) {
-      const std::span bytes{delta.mem_bytes.data() + d * sim::kPageSize,
-                            sim::kPageSize};
-      if (foreign) {
-        mem_->write(sim::mfn_to_paddr(sim::Mfn{m}), bytes);
-      } else {
-        mem_->restore_frame(sim::Mfn{m}, bytes, delta.mem_frame_gens[d]);
-      }
-      ++copied;
-      ++d;
-      continue;
-    }
-    if (mem_->frame_generation(sim::Mfn{m}) != base.frame_gens[m]) {
-      mem_->restore_frame(
-          sim::Mfn{m},
-          std::span{base.memory.data() + m * sim::kPageSize, sim::kPageSize},
-          base.frame_gens[m]);
-      ++copied;
-    }
-  }
-  snap_stats_.frames_copied += copied;
-
-  // Bookkeeping: baseline frame table with the delta's overrides, then the
-  // delta's full (small) state.
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    frames_.info(sim::Mfn{m}) = base.frames[m];
-  }
-  for (const auto& [m, pi] : delta.frames) frames_.info(sim::Mfn{m}) = pi;
-  frames_.restore_allocator(delta.allocator);
-  domains_.clear();
-  for (const Domain& dom : delta.domains) {
-    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
-  }
-  next_domid_ = delta.next_domid;
-  grants_.restore(delta.grants);
-  events_.restore(delta.events);
-  crashed_ = delta.crashed;
-  cpu_hung_ = delta.cpu_hung;
-  console_ = delta.console;
+  restore_bookkeeping(cow);
   return copied;
 }
 

@@ -29,6 +29,9 @@
 //   Hypervisor::restore_delta(base, delta)  — to the delta's state from
 //                                             *any* current state, copying
 //                                             only frames that can differ.
+// Each of these visits only the frames the machine's dirty logs recorded
+// since it was last synced to `base` (see Hypervisor's snapshot section);
+// against a baseline it is not synced to, it sweeps every frame instead.
 #pragma once
 
 #include <array>
@@ -43,11 +46,17 @@
 namespace ii::hv {
 
 struct HvSnapshot {
+  /// Identity of this capture, unique in the process and shared by copies
+  /// (0: none). A Hypervisor compares it with its synced baseline to decide
+  /// whether its dirty logs describe the divergence from this snapshot, so
+  /// a snapshot must not be modified after capture.
+  std::uint64_t id = 0;
+
   /// Full physical-memory image (page tables, IDT, guest data — everything).
   std::vector<std::uint8_t> memory;
   /// Per-frame PhysicalMemory write generation at capture time; together
-  /// with `memory` this makes "changed since this snapshot" an O(frames)
-  /// integer scan instead of an O(bytes) comparison.
+  /// with `memory` this makes "changed since this snapshot" an integer
+  /// compare per logged frame instead of an O(bytes) comparison.
   std::vector<std::uint64_t> frame_gens;
   /// Global PhysicalMemory generation at capture (>= every frame_gens[i]).
   std::uint64_t mem_generation = 0;

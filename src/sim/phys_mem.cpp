@@ -9,7 +9,8 @@ namespace ii::sim {
 PhysicalMemory::PhysicalMemory(std::uint64_t frames)
     : frames_{frames},
       bytes_(frames * kPageSize, 0),
-      frame_gen_(frames, 1) {  // generation 0 is reserved: "never observed"
+      frame_gen_(frames, 1),  // generation 0 is reserved: "never observed"
+      log_{frames} {
   if (frames == 0) throw std::invalid_argument{"PhysicalMemory: zero frames"};
 }
 
@@ -28,7 +29,7 @@ void PhysicalMemory::mark_range_dirty(Paddr pa, std::uint64_t len) {
   const std::uint64_t gen = ++generation_;
   const std::uint64_t first = pa.raw() / kPageSize;
   const std::uint64_t last = (pa.raw() + len - 1) / kPageSize;
-  for (std::uint64_t m = first; m <= last; ++m) frame_gen_[m] = gen;
+  for (std::uint64_t m = first; m <= last; ++m) stamp(m, gen);
 }
 
 void PhysicalMemory::read(Paddr pa, std::span<std::uint8_t> out) const {
@@ -84,19 +85,7 @@ PhysicalMemory::FrameWriteGuard PhysicalMemory::writable_frame(Mfn mfn) {
 
 void PhysicalMemory::mark_dirty(Mfn mfn) {
   check_range(mfn_to_paddr(mfn), kPageSize);
-  frame_gen_[mfn.raw()] = ++generation_;
-}
-
-std::vector<std::uint64_t> PhysicalMemory::dirty_bitmap(
-    std::span<const std::uint64_t> since) const {
-  if (since.size() != frames_) {
-    throw std::logic_error{"dirty_bitmap: generation vector shape mismatch"};
-  }
-  std::vector<std::uint64_t> bits((frames_ + 63) / 64, 0);
-  for (std::uint64_t m = 0; m < frames_; ++m) {
-    if (frame_gen_[m] != since[m]) bits[m / 64] |= 1ULL << (m % 64);
-  }
-  return bits;
+  stamp(mfn.raw(), ++generation_);
 }
 
 void PhysicalMemory::restore_frame(Mfn mfn, std::span<const std::uint8_t> bytes,
@@ -107,7 +96,7 @@ void PhysicalMemory::restore_frame(Mfn mfn, std::span<const std::uint8_t> bytes,
   }
   std::memcpy(bytes_.data() + mfn_to_paddr(mfn).raw(), bytes.data(),
               kPageSize);
-  frame_gen_[mfn.raw()] = gen;
+  stamp(mfn.raw(), gen);
   generation_ = std::max(generation_, gen);
 }
 
@@ -118,7 +107,9 @@ void PhysicalMemory::restore_image(std::span<const std::uint8_t> bytes,
     throw std::logic_error{"restore_image: image shape mismatch"};
   }
   std::memcpy(bytes_.data(), bytes.data(), bytes.size());
-  std::copy(gens.begin(), gens.end(), frame_gen_.begin());
+  for (std::uint64_t m = 0; m < frames_; ++m) {
+    if (frame_gen_[m] != gens[m]) stamp(m, gens[m]);
+  }
   generation_ = std::max(generation_, generation);
 }
 

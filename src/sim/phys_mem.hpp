@@ -10,17 +10,18 @@
 // fresh value of a monotonically increasing generation counter. Because a
 // frame's generation changes on every write, the pair (generation,
 // contents) is unique per frame: two observations of a frame at the same
-// generation are guaranteed byte-identical. That single property is what
-// the incremental state hashing (hv/snapshot digest cache) and the delta
-// snapshot/restore machinery are built on — a "dirty bitmap since
-// generation G" is simply the set of frames whose generation exceeds the
-// per-frame generations recorded at G.
+// generation are guaranteed byte-identical. The same stamp also notes the
+// frame in a DirtyLog (sim/dirty_log.hpp), so a reader can ask which
+// frames were written since it last synced without scanning the machine.
+// The hypervisor's state digest and its snapshot rewind (hv/snapshot.cpp)
+// are the two readers, so a PhysicalMemory serves one Hypervisor at a
+// time; DESIGN.md §10 has the model.
 //
-// Mutation paths that stamp generations (DESIGN.md §10 lists the full
-// invariant): write(), write_u64(), write_slot(), zero_frame(),
-// mark_dirty(), writable_frame() guards, and restore_frame() (which rolls
-// a frame's generation *back* to a recorded value together with the bytes
-// that were captured at that value — the only path allowed to do so).
+// Mutation paths that stamp generations and feed the log: write(),
+// write_u64(), write_slot(), zero_frame(), mark_dirty(), writable_frame()
+// guards, and restore_frame() / restore_image() (which roll a frame's
+// generation *back* to a recorded value together with the bytes that were
+// captured at that value — the only paths allowed to do so).
 // frame_bytes() is const-only; there is deliberately no unguarded mutable
 // view.
 #pragma once
@@ -30,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/dirty_log.hpp"
 #include "sim/types.hpp"
 
 namespace ii::sim {
@@ -108,11 +110,15 @@ class PhysicalMemory {
     return frame_gen_;
   }
 
-  /// Dirty bitmap relative to a recorded per-frame generation vector (one
-  /// bit per frame, 64 frames per word): bit set when the frame may have
-  /// changed since the recording. `since` must have frame_count() entries.
-  [[nodiscard]] std::vector<std::uint64_t> dirty_bitmap(
-      std::span<const std::uint64_t> since) const;
+  /// Frames written since `reader` last synced (see DirtyLog): a superset
+  /// of the frames whose (generation, contents) moved since then.
+  [[nodiscard]] std::span<const std::uint64_t> dirty_frames(
+      DirtyReader reader) const {
+    return log_.since_sync(reader);
+  }
+  /// Start `reader`'s log afresh. Const because it changes what a reader
+  /// has seen, not the memory.
+  void sync_dirty(DirtyReader reader) const { log_.sync(reader); }
 
   // ------------------------------------------------- snapshot-engine hooks
   // The two generation-rolling entry points below are reserved for the
@@ -126,7 +132,9 @@ class PhysicalMemory {
   void restore_frame(Mfn mfn, std::span<const std::uint8_t> bytes,
                      std::uint64_t gen);
 
-  /// Whole-image restore: all frames plus their recorded generations.
+  /// Whole-image restore: all frames plus their recorded generations. Only
+  /// frames whose generation changes are logged as written: equal
+  /// generations already hold equal bytes.
   void restore_image(std::span<const std::uint8_t> bytes,
                      std::span<const std::uint64_t> gens,
                      std::uint64_t generation);
@@ -135,11 +143,17 @@ class PhysicalMemory {
   void check_range(Paddr pa, std::uint64_t len) const;
   /// Stamp every frame overlapping [pa, pa+len) with one fresh generation.
   void mark_range_dirty(Paddr pa, std::uint64_t len);
+  /// The one place a frame's generation is set: stamp it and log it.
+  void stamp(std::uint64_t frame, std::uint64_t gen) {
+    frame_gen_[frame] = gen;
+    log_.note(frame);
+  }
 
   std::uint64_t frames_;
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint64_t> frame_gen_;
   std::uint64_t generation_ = 1;  // 0 is reserved as "never observed"
+  mutable DirtyLog log_;
 };
 
 }  // namespace ii::sim

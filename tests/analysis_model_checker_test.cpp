@@ -5,7 +5,9 @@
 // determinism, BFS minimality, and hash dedup actually firing.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <string>
 
 #include "analysis/model_checker.hpp"
 #include "obs/span.hpp"
@@ -21,6 +23,21 @@ ModelCheckConfig config_for(hv::XenVersion version, unsigned depth,
   config.depth = depth;
   config.include_grant_ops = grants;
   return config;
+}
+
+/// A fresh, empty spill directory owned by one test, so tests that run as
+/// parallel processes never share a spill location.
+std::string own_spill_dir(const std::string& test) {
+  const std::filesystem::path dir =
+      std::filesystem::path{testing::TempDir()} / ("ii-spill-" + test);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// The check deleted its spill file on return.
+bool spill_dir_empty(const std::string& dir) {
+  return std::filesystem::is_empty(std::filesystem::path{dir});
 }
 
 TEST(ModelChecker, Xen46Depth1ReachesXsa148) {
@@ -253,8 +270,9 @@ TEST(ModelChecker, SpillingPreservesTheReportExactly) {
   EXPECT_EQ(unbounded.ops_executed, unbounded.ops_applied);
 
   config.max_frontier_bytes = 16 * 1024;
-  config.spill_dir = testing::TempDir();
+  config.spill_dir = own_spill_dir("SpillingPreservesTheReportExactly");
   const auto spilled = run_model_check(config);
+  EXPECT_TRUE(spill_dir_empty(config.spill_dir));
   EXPECT_GT(spilled.frontier_spilled_items, 0u);
   EXPECT_GT(spilled.frontier_spill_reloads, 0u);
   EXPECT_GT(spilled.frontier_spill_bytes, 0u);
@@ -297,8 +315,9 @@ TEST(ModelChecker, SerialSpillingAlsoPreservesTheReport) {
   config.threads = 1;
   const auto resident = run_model_check(config);
   config.max_frontier_bytes = 8 * 1024;
-  config.spill_dir = testing::TempDir();
+  config.spill_dir = own_spill_dir("SerialSpillingAlsoPreservesTheReport");
   const auto spilled = run_model_check(config);
+  EXPECT_TRUE(spill_dir_empty(config.spill_dir));
   EXPECT_EQ(render_report(resident), render_report(spilled));
   EXPECT_GT(spilled.frontier_spilled_items, 0u);
 }

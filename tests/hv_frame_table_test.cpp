@@ -1,6 +1,8 @@
 // Unit tests for frame ownership/type tracking and the frame allocator.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hv/frame_table.hpp"
 
 namespace ii::hv {
@@ -98,6 +100,38 @@ TEST(FrameTable, PageTypePredicates) {
 TEST(FrameTable, InfoBoundsChecked) {
   FrameTable ft{2};
   EXPECT_THROW((void)ft.info(sim::Mfn{2}), std::out_of_range);
+}
+
+TEST(FrameTable, AllocatorAndMutableInfoFeedTheDirtyLog) {
+  FrameTable ft{8};
+  using Frames = std::vector<std::uint64_t>;
+  const auto logged = [&] {
+    const auto frames = ft.dirty_frames(sim::DirtyReader::Rewind);
+    return Frames{frames.begin(), frames.end()};
+  };
+  const auto sync = [&] {
+    ft.sync_dirty(sim::DirtyReader::Rewind);
+    ft.sync_dirty(sim::DirtyReader::Digest);
+  };
+
+  (void)ft.alloc(1);                 // frame 0
+  (void)ft.alloc_contiguous(1, 2);   // frames 1, 2
+  EXPECT_EQ(logged(), (Frames{0, 1, 2}));
+  EXPECT_EQ(logged(), (Frames{ft.dirty_frames(sim::DirtyReader::Digest).begin(),
+                              ft.dirty_frames(sim::DirtyReader::Digest).end()}));
+
+  sync();
+  ft.free(sim::Mfn{1});
+  (void)ft.alloc_prefer_recycled(2);  // frame 1 again
+  EXPECT_EQ(logged(), (Frames{1}));
+
+  // Reads through the const view log nothing; the mutable view logs.
+  sync();
+  const FrameTable& view = ft;
+  (void)view.info(sim::Mfn{2});
+  EXPECT_TRUE(logged().empty());
+  ft.info(sim::Mfn{2}).type = PageType::Writable;
+  EXPECT_EQ(logged(), (Frames{2}));
 }
 
 }  // namespace

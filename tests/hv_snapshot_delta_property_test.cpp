@@ -1,21 +1,31 @@
 // Randomized properties of the incremental snapshot engine (DESIGN.md §10).
 //
-// Two invariants hold after *any* accepted-or-refused hypercall stream:
-//   1. The dirty-frame digest cache is transparent: state_hash() (cached)
-//      equals state_hash_full() (every frame rehashed).
+// Three invariants hold after *any* accepted-or-refused hypercall stream:
+//   1. The dirty logs are complete: state_hash() (which recomputes only the
+//      logged frames' terms) equals state_hash_full() (every frame).
 //   2. (baseline, delta) densely describes a state: restore_delta(base,
 //      delta) rebuilds it byte-identically — the full memory image, frame
 //      generations, frame table, console and hash all match a full
 //      snapshot taken at capture time — and restore_delta(base) rewinds
 //      byte-identically to the baseline.
-// Both are fuzzed with seeded generators across the three paper versions,
-// so any mutation path that skips dirty-marking shows up as a hash split.
+//   3. Every rewind flavour — to the synced baseline or to another
+//      snapshot, foreign deltas, CoW nodes, full restores — leaves memory
+//      and every PageInfo equal to a machine that reached the same state
+//      another way, with the same hash.
+// They are fuzzed with seeded generators across the three paper versions,
+// so any mutation path that skips the dirty log shows up as a hash split.
+// SnapshotCost pins the other half of the claim: hash, capture and rewind
+// do the same work on a machine eight times larger.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "hv/hypervisor.hpp"
+#include "hv/recovery.hpp"
 #include "hv/snapshot.hpp"
 
 namespace ii::hv {
@@ -73,11 +83,109 @@ struct Harness {
     }
   }
 
+  bool guest_alive() const {
+    for (const DomainId id : hv.domain_ids()) {
+      if (id == guest) return true;
+    }
+    return false;
+  }
+
+  /// One random mutation from the wider alphabet of the mixed stream:
+  /// random_op() plus pins, grants and event channels. Every guest op is
+  /// skipped while the guest is destroyed.
+  void mixed_op() {
+    if (!guest_alive()) {
+      (void)hv.hypercall_console_io(dom0, "idle");
+      return;
+    }
+    switch (rng() % 8) {
+      case 0: {  // pin or unpin a table candidate at a random level
+        static constexpr MmuExtCmd kCmds[] = {
+            MmuExtCmd::PinL1Table, MmuExtCmd::PinL2Table,
+            MmuExtCmd::PinL3Table, MmuExtCmd::PinL4Table,
+            MmuExtCmd::UnpinTable};
+        const MmuExtOp op{kCmds[rng() % 5],
+                          *hv.domain(guest).p2m(sim::Pfn{120 + rng() % 8})};
+        (void)hv.hypercall_mmuext_op(guest, op);
+        break;
+      }
+      case 1:  // grant a page to dom0 (refs collide on purpose)
+        (void)hv.grants().grant_access(guest, static_cast<GrantRef>(rng() % 4),
+                                       dom0, sim::Pfn{8 + rng() % 8},
+                                       rng() % 2 == 0);
+        break;
+      case 2: {  // dom0 maps one of them
+        GrantHandle handle = 0;
+        sim::Mfn frame{};
+        if (hv.grants().map_grant(dom0, guest,
+                                  static_cast<GrantRef>(rng() % 4), &handle,
+                                  &frame) == kOk) {
+          handles.push_back(handle);
+        }
+        break;
+      }
+      case 3:  // unmap a live handle, or end a grant
+        if (!handles.empty() && rng() % 2 == 0) {
+          (void)hv.grants().unmap_grant(dom0, handles.back());
+          handles.pop_back();
+        } else {
+          (void)hv.grants().end_access(guest, static_cast<GrantRef>(rng() % 4));
+        }
+        break;
+      case 4:  // grant-table version switch (allocates status frames)
+        (void)hv.grants().set_version(guest, 1 + rng() % 2);
+        break;
+      case 5: {  // an event channel between the two domains
+        unsigned port = 0;
+        (void)hv.events().alloc_unbound(guest, dom0, &port);
+        break;
+      }
+      default:
+        random_op();
+        break;
+    }
+  }
+
   sim::PhysicalMemory mem;
   Hypervisor hv;
   std::mt19937 rng;
   DomainId dom0{}, guest{};
+  std::vector<GrantHandle> handles;  ///< dom0's live grant mappings
 };
+
+/// What a rewind must reproduce exactly: every memory byte and every
+/// PageInfo, read through the public const surface (so taking one never
+/// syncs a dirty log).
+struct Image {
+  std::vector<std::uint8_t> memory;
+  std::vector<PageInfo> frames;
+};
+
+Image image_of(const Hypervisor& hv) {
+  Image img;
+  img.memory.resize(hv.memory().byte_size());
+  hv.memory().read(sim::Paddr{0}, img.memory);
+  for (std::uint64_t m = 0; m < hv.frames().frame_count(); ++m) {
+    img.frames.push_back(hv.frames().info(sim::Mfn{m}));
+  }
+  return img;
+}
+
+/// The first frame whose bytes or PageInfo differ, described; "" if none.
+std::string first_difference(const Image& got, const Image& want) {
+  for (std::uint64_t m = 0; m < want.frames.size(); ++m) {
+    const auto at = static_cast<std::ptrdiff_t>(m * sim::kPageSize);
+    if (!std::equal(got.memory.begin() + at,
+                    got.memory.begin() + at + sim::kPageSize,
+                    want.memory.begin() + at)) {
+      return "memory of frame " + std::to_string(m);
+    }
+    if (!(got.frames[m] == want.frames[m])) {
+      return "PageInfo of frame " + std::to_string(m);
+    }
+  }
+  return "";
+}
 
 class SnapshotDeltaProperty
     : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
@@ -137,6 +245,242 @@ TEST_P(SnapshotDeltaProperty, DeltaAgainstWrongBaselineIsRefused) {
   const HvDelta delta = h.hv.snapshot_delta(other);
   if (other.mem_generation != base.mem_generation) {
     EXPECT_THROW(h.hv.restore_delta(base, delta), std::logic_error);
+  }
+}
+
+Image image_of(const HvSnapshot& snap) { return {snap.memory, snap.frames}; }
+
+TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
+  const auto [minor, seed] = GetParam();
+  const XenVersion version{4, minor};
+  Harness h{version, seed + 3000};
+  Harness peer{version, seed + 4000};  // captures the foreign deltas
+  const Harness cold{version, 0};      // never mutated: the boot state
+  const Image boot = image_of(cold.hv);
+  const std::uint64_t boot_hash = cold.hv.state_hash();
+  const HvSnapshot root = h.hv.snapshot();
+  const HvSnapshot peer_root = peer.hv.snapshot();
+  ASSERT_EQ(root.hash, boot_hash);
+
+  const auto expect_state = [&](const Image& want, std::uint64_t want_hash,
+                                const std::string& what) {
+    EXPECT_EQ(first_difference(image_of(h.hv), want), "") << what;
+    EXPECT_EQ(h.hv.state_hash(), want_hash) << what;
+    ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << what;
+  };
+  const auto some_ops = [&](int n) {
+    for (int i = 0; i < n; ++i) h.mixed_op();
+  };
+
+  // Both rewind paths, deterministically: to the synced baseline, and to
+  // a snapshot the logs are not synced to (taking `second` synced them to
+  // it, so the rewind to root is the unsynced one, and then vice versa).
+  some_ops(8);
+  std::optional<HvSnapshot> second = h.hv.snapshot();
+  some_ops(8);
+  (void)h.hv.restore_delta(root);
+  expect_state(boot, boot_hash, "unsynced restore_delta(root)");
+  some_ops(8);
+  (void)h.hv.restore_delta(*second);
+  expect_state(image_of(*second), second->hash,
+               "unsynced restore_delta(second)");
+  some_ops(8);
+  (void)h.hv.restore_delta(*second);
+  expect_state(image_of(*second), second->hash, "synced restore_delta(second)");
+
+  struct Node {
+    HvCowState cow;
+    Image image;
+  };
+  std::optional<Node> node;
+  for (int step = 0; step < 60; ++step) {
+    const std::string at = "step " + std::to_string(step);
+    switch (h.rng() % 12) {
+      case 0:
+        (void)h.hv.restore_delta(root);
+        expect_state(boot, boot_hash, at + ": restore_delta(root)");
+        break;
+      case 1:
+        second = h.hv.snapshot();
+        break;
+      case 2:
+        (void)h.hv.restore_delta(*second);
+        expect_state(image_of(*second), second->hash,
+                     at + ": restore_delta(second)");
+        break;
+      case 3: {
+        for (int i = 0; i < 3; ++i) peer.mixed_op();
+        const HvDelta delta = peer.hv.snapshot_delta(peer_root);
+        (void)h.hv.restore_delta(root, delta, /*foreign=*/true);
+        expect_state(image_of(peer.hv), peer.hv.state_hash(),
+                     at + ": foreign restore_delta");
+        break;
+      }
+      case 4: {
+        (void)h.hv.restore_delta(root);
+        const std::uint64_t marker = h.hv.memory().generation();
+        some_ops(3);
+        HvCowState cow = h.hv.snapshot_cow(root, nullptr, marker);
+        node = Node{std::move(cow), image_of(h.hv)};
+        break;
+      }
+      case 5:
+        if (node) {
+          (void)h.hv.restore_cow(root, node->cow);
+          expect_state(node->image, node->cow.hash, at + ": restore_cow");
+        }
+        break;
+      case 6:
+        if (h.rng() % 2 == 0) {
+          h.hv.restore(root);
+          expect_state(boot, boot_hash, at + ": restore(root)");
+        } else {
+          h.hv.restore(*second);
+          expect_state(image_of(*second), second->hash,
+                       at + ": restore(second)");
+        }
+        break;
+      case 7:
+        (void)h.hv.recover();
+        break;
+      case 8:
+        if (h.guest_alive()) {
+          (void)h.hv.hypercall_domctl_destroy(h.dom0, h.guest);
+        }
+        break;
+      case 9: {
+        // A PageInfo change with no memory write must move the hash, and
+        // a rewind must undo it.
+        const sim::Mfn frame{h.rng() % h.hv.frames().frame_count()};
+        const std::uint64_t gen = h.hv.memory().generation();
+        const std::uint64_t before = h.hv.state_hash();
+        ++h.hv.frames().info(frame).type_count;
+        EXPECT_EQ(h.hv.memory().generation(), gen) << at;
+        EXPECT_NE(h.hv.state_hash(), before) << at;
+        ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << at;
+        (void)h.hv.restore_delta(root);
+        expect_state(boot, boot_hash, at + ": PageInfo-only change rewound");
+        break;
+      }
+      default:
+        some_ops(1 + static_cast<int>(h.rng() % 4));
+        break;
+    }
+    ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << at;
+  }
+}
+
+TEST(SnapshotDirtyLog, PageInfoOnlyChangeMovesTheHashAndIsRewound) {
+  Harness h{kXen46, 5};
+  const HvSnapshot root = h.hv.snapshot();
+  const Image boot = image_of(h.hv);
+  const sim::Mfn frame = *h.hv.domain(h.guest).p2m(sim::Pfn{20});
+  const std::uint64_t gen = h.hv.memory().generation();
+
+  ++h.hv.frames().info(frame).ref_count;
+  EXPECT_EQ(h.hv.memory().generation(), gen);  // no memory write
+  const std::uint64_t changed = h.hv.state_hash();
+  EXPECT_NE(changed, root.hash);
+  EXPECT_EQ(changed, h.hv.state_hash_full());
+
+  // A delta carries exactly that entry and no frame.
+  const HvDelta delta = h.hv.snapshot_delta(root);
+  EXPECT_TRUE(delta.mem_frames.empty());
+  ASSERT_EQ(delta.frames.size(), 1u);
+  EXPECT_EQ(delta.frames[0].first, frame.raw());
+
+  (void)h.hv.restore_delta(root);
+  EXPECT_EQ(first_difference(image_of(h.hv), boot), "");
+  EXPECT_EQ(h.hv.state_hash(), root.hash);
+
+  (void)h.hv.restore_delta(root, delta);
+  EXPECT_EQ(h.hv.state_hash(), changed);
+
+  // The same change as a CoW node, rewound by every path.
+  (void)h.hv.restore_delta(root);
+  const std::uint64_t marker = h.hv.memory().generation();
+  ++h.hv.frames().info(frame).ref_count;
+  const HvCowState cow = h.hv.snapshot_cow(root, nullptr, marker);
+  EXPECT_TRUE(cow.mem_frames.empty());
+  ASSERT_EQ(cow.frames.size(), 1u);
+  h.hv.restore(root);
+  EXPECT_EQ(first_difference(image_of(h.hv), boot), "");
+  EXPECT_EQ(h.hv.state_hash(), root.hash);
+  (void)h.hv.restore_cow(root, cow);
+  EXPECT_EQ(h.hv.state_hash(), changed);
+  EXPECT_EQ(h.hv.state_hash(), h.hv.state_hash_full());
+  (void)h.hv.restore_delta(root);
+  EXPECT_EQ(first_difference(image_of(h.hv), boot), "");
+}
+
+/// The SnapshotStats of each step of one fixed scenario — one dirty frame,
+/// then one PageInfo-changing hypercall — on a machine of `frames` frames.
+std::vector<SnapshotStats> work_of_one_dirty_frame(std::uint64_t frames) {
+  sim::PhysicalMemory mem{frames};
+  Hypervisor hv{mem, VersionPolicy::for_version(kXen46)};
+  (void)hv.create_domain("dom0", true, 64);
+  const DomainId guest = hv.create_domain("guest01", false, 128);
+  // Rewinds rebuild the Domain objects, so keep MFNs, not references.
+  const sim::Mfn data_mfn = *hv.domain(guest).p2m(sim::Pfn{20});
+  const sim::Mfn l1_mfn = *hv.domain(guest).p2m(sim::Pfn{124});
+  const sim::Paddr data = sim::mfn_to_paddr(data_mfn);
+  const HvSnapshot base = hv.snapshot();
+
+  std::vector<SnapshotStats> work;
+  const auto step = [&](const auto& fn) {
+    hv.reset_snapshot_stats();
+    fn();
+    work.push_back(hv.snapshot_stats());
+  };
+  HvCowState cow;
+  step([&] {
+    mem.write_u64(data, 1);
+    (void)hv.state_hash();
+  });
+  step([&] { (void)hv.restore_delta(base); });
+  step([&] {
+    const std::uint64_t marker = mem.generation();
+    mem.write_u64(data, 2);
+    cow = hv.snapshot_cow(base, nullptr, marker);
+  });
+  step([&] { (void)hv.snapshot_delta(base); });
+  step([&] { (void)hv.restore_delta(base); });
+  step([&] { (void)hv.restore_cow(base, cow); });
+  step([&] {
+    // Map guest page 20 writable at a free slot of the guest's L1: one
+    // table write plus a type reference on the target frame.
+    const sim::Pte pte = sim::Pte::make(
+        data_mfn, sim::Pte::kPresent | sim::Pte::kWritable | sim::Pte::kUser);
+    const MmuUpdate req{sim::mfn_to_paddr(l1_mfn).raw() + 200 * 8,
+                        pte.raw()};
+    EXPECT_EQ(hv.hypercall_mmu_update(guest, {&req, 1}), kOk);
+    (void)hv.state_hash();
+  });
+  step([&] { (void)hv.restore_delta(base); });
+  return work;
+}
+
+std::string describe(const SnapshotStats& s) {
+  return "visited " + std::to_string(s.frames_visited) + ", rehashed " +
+         std::to_string(s.frames_rehashed) + ", cached " +
+         std::to_string(s.frames_hash_cached) + ", copied " +
+         std::to_string(s.frames_copied) + ", cow copied " +
+         std::to_string(s.cow_frames_copied) + ", delta captured " +
+         std::to_string(s.frames_delta_captured);
+}
+
+TEST(SnapshotCost, WorkIsIndependentOfMachineSize) {
+  // "O(dirty)" as a checked claim: on machines 8x apart, hash, capture and
+  // rewind report identical work — exact counts, not timings.
+  const std::vector<SnapshotStats> small = work_of_one_dirty_frame(4096);
+  const std::vector<SnapshotStats> large = work_of_one_dirty_frame(32768);
+  ASSERT_EQ(small.size(), large.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_TRUE(small[i] == large[i])
+        << "step " << i << ": " << describe(small[i]) << " vs "
+        << describe(large[i]);
+    EXPECT_LE(small[i].frames_visited, 16u)
+        << "step " << i << ": " << describe(small[i]);
   }
 }
 

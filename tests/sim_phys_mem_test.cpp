@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "sim/phys_mem.hpp"
 
@@ -133,32 +134,46 @@ TEST(PhysicalMemory, EveryMutationPathBumpsFrameGeneration) {
   EXPECT_EQ(mem.generation(), before);
 }
 
-TEST(PhysicalMemory, DirtyBitmapAndRestoreFrameRollGenerationsBack) {
-  PhysicalMemory mem{130};  // >2 bitmap words
+TEST(PhysicalMemory, DirtyLogAndRestoreFrameRollGenerationsBack) {
+  PhysicalMemory mem{130};
   const std::vector<std::uint64_t> base{mem.frame_generations().begin(),
                                         mem.frame_generations().end()};
   std::vector<std::uint8_t> frame0{mem.frame_bytes(Mfn{0}).begin(),
                                    mem.frame_bytes(Mfn{0}).end()};
+  const auto logged = [&](DirtyReader r) {
+    const auto frames = mem.dirty_frames(r);
+    return std::vector<std::uint64_t>{frames.begin(), frames.end()};
+  };
+  using Frames = std::vector<std::uint64_t>;
+  mem.sync_dirty(DirtyReader::Digest);
+  mem.sync_dirty(DirtyReader::Rewind);
 
-  mem.write_u64(Paddr{0}, 0xAA);            // frame 0
-  mem.write_u64(Paddr{129 * kPageSize}, 1); // frame 129
+  mem.write_u64(Paddr{129 * kPageSize}, 1);  // frame 129
+  mem.write_u64(Paddr{0}, 0xAA);             // frame 0
+  mem.write_u64(Paddr{8}, 0xBB);             // frame 0 again: logged once
+  EXPECT_EQ(logged(DirtyReader::Digest), (Frames{129, 0}));
+  EXPECT_EQ(logged(DirtyReader::Rewind), (Frames{129, 0}));
 
-  const auto bits = mem.dirty_bitmap(base);
-  ASSERT_EQ(bits.size(), 3u);
-  EXPECT_EQ(bits[0], 1u);                   // only frame 0 in word 0
-  EXPECT_EQ(bits[1], 0u);
-  EXPECT_EQ(bits[2], 1ULL << (129 - 128));  // only frame 129 in word 2
+  // Readers sync independently.
+  mem.sync_dirty(DirtyReader::Digest);
+  EXPECT_TRUE(logged(DirtyReader::Digest).empty());
+  EXPECT_EQ(logged(DirtyReader::Rewind), (Frames{129, 0}));
 
-  // Restoring captured bytes at the captured generation cleans the frame.
+  // Restoring captured bytes at the captured generation rolls the frame
+  // back, and is itself a logged write.
   mem.restore_frame(Mfn{0}, frame0, base[0]);
-  const auto bits2 = mem.dirty_bitmap(base);
-  EXPECT_EQ(bits2[0], 0u);
+  EXPECT_EQ(mem.frame_generation(Mfn{0}), base[0]);
   EXPECT_EQ(mem.read_u64(Paddr{0}), 0u);
+  EXPECT_EQ(logged(DirtyReader::Digest), (Frames{0}));
   // The global counter never rolls back.
   EXPECT_GE(mem.generation(), base[129]);
 
-  std::vector<std::uint64_t> wrong(4, 0);
-  EXPECT_THROW((void)mem.dirty_bitmap(wrong), std::logic_error);
+  // A whole-image restore logs only the frames whose generation moves.
+  std::vector<std::uint8_t> image(mem.byte_size(), 0);
+  mem.sync_dirty(DirtyReader::Digest);
+  mem.restore_image(image, base, base[0]);
+  EXPECT_EQ(logged(DirtyReader::Digest), (Frames{129}));
+  EXPECT_EQ(mem.frame_generation(Mfn{129}), base[129]);
 }
 
 }  // namespace
