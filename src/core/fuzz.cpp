@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -414,11 +415,17 @@ bool store_trace_file(const std::string& path, const CorpusEntry& entry,
                       hv::XenVersion version) {
   if (chaos_fire("fuzz.corpus_write_fail")) return false;
   const std::vector<std::uint8_t> bytes = serialize_trace(entry, version);
-  std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  if (!os) return false;
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(os);
+  // Exclusive create: a file already at `path` (another run's, sharing the
+  // directory) is never overwritten; the store fails instead.
+  std::FILE* f = std::fopen(path.c_str(), "wbx");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::remove(path.c_str());  // ours, and torn: leave no partial record
+    return false;
+  }
+  return true;
 }
 
 std::optional<CorpusEntry> load_trace_file(const std::string& path,
@@ -540,12 +547,16 @@ TraceResult execute_trace(guest::VirtualPlatform& platform,
   } else if (vmm.cpu_hung()) {
     result.outcome = FuzzOutcome::CpuHang;
   } else {
+    // One structural audit per execution: the invariant report is derived
+    // from it, and it alone tells "detected by audit" from "no effect".
     const hv::SystemWalk walk = hv::walk_system(vmm);
-    const hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
+    const hv::AuditReport structural = hv::audit_system(vmm, walk);
+    const hv::InvariantReport report =
+        hv::InvariantAuditor{vmm}.audit(structural);
     if (!report.clean()) {
       result.outcome = FuzzOutcome::IsolationViolation;
       result.classes = analysis::classify_erroneous_state(vmm, walk, report);
-    } else if (!hv::audit_system(vmm, walk).clean()) {
+    } else if (!structural.clean()) {
       result.outcome = FuzzOutcome::DetectedByAudit;
     } else if (!ops.empty() && result.ops_refused == ops.size()) {
       result.outcome = FuzzOutcome::Refused;

@@ -223,8 +223,9 @@ struct CorpusEntry {
     std::span<const std::uint8_t> bytes, hv::XenVersion* version = nullptr);
 
 /// File I/O wrappers (chaos points fuzz.corpus_write_fail /
-/// fuzz.corpus_read_fail cover the failure paths). store returns false on
-/// refusal or I/O error; load returns nullopt.
+/// fuzz.corpus_read_fail cover the failure paths). store creates `path`
+/// exclusively: it returns false on refusal, I/O error, or when `path`
+/// already exists, which it leaves untouched. load returns nullopt.
 bool store_trace_file(const std::string& path, const CorpusEntry& entry,
                       hv::XenVersion version);
 [[nodiscard]] std::optional<CorpusEntry> load_trace_file(
@@ -247,6 +248,8 @@ struct SeqFuzzConfig {
   unsigned max_corpus = 64;
   /// When non-empty, survivors and the final corpus are persisted here as
   /// deterministic self-delimiting trace files (CI cmp-gates the bytes).
+  /// Files are created exclusively: a name another run already wrote is
+  /// counted in SeqFuzzStats::corpus_write_failures, not overwritten.
   std::string corpus_dir;
   /// Platform shape (version/injector overridden).
   guest::PlatformConfig platform{};

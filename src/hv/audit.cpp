@@ -1,6 +1,8 @@
 #include "hv/audit.hpp"
 
 #include <cstdio>
+#include <cstring>
+#include <span>
 
 namespace ii::hv {
 
@@ -30,6 +32,14 @@ std::uint64_t sign_extend(std::uint64_t va) {
   return va;
 }
 
+/// Slot `index` of a table, copied out of one bounds-checked frame_bytes()
+/// view of it: no per-slot call or range check.
+std::uint64_t slot_at(std::span<const std::uint8_t> table, unsigned index) {
+  std::uint64_t raw;
+  std::memcpy(&raw, table.data() + index * sizeof raw, sizeof raw);
+  return raw;
+}
+
 // UserOnly prunes supervisor-only subtrees: the user flag can only be
 // cleared going down (hardware ANDs it along the path), so once an
 // intermediate entry drops it no descendant leaf can be user-reachable.
@@ -38,8 +48,9 @@ std::uint64_t sign_extend(std::uint64_t va) {
 template <bool UserOnly, typename Fn>
 void walk_rec(const sim::PhysicalMemory& mem, const WalkFrame& frame,
               Fn&& fn) {
+  const std::span<const std::uint8_t> table = mem.frame_bytes(frame.table);
   for (unsigned i = 0; i < sim::kPtEntries; ++i) {
-    const sim::Pte e{mem.read_slot(frame.table, i)};
+    const sim::Pte e{slot_at(table, i)};
     if (!e.present()) continue;
     const std::uint64_t va =
         sign_extend(frame.va_base + i * level_span(frame.level));
@@ -69,13 +80,6 @@ void walk_rec(const sim::PhysicalMemory& mem, const WalkFrame& frame,
 void for_each_leaf(const Hypervisor& hv, sim::Mfn root,
                    const std::function<void(const LeafMapping&)>& fn) {
   walk_rec<false>(hv.memory(), WalkFrame{root, 4, 0, true, true}, fn);
-}
-
-std::vector<LeafMapping> collect_leaves(const Hypervisor& hv, sim::Mfn root) {
-  std::vector<LeafMapping> leaves;
-  walk_rec<false>(hv.memory(), WalkFrame{root, 4, 0, true, true},
-                  [&](const LeafMapping& m) { leaves.push_back(m); });
-  return leaves;
 }
 
 SystemWalk walk_system(const Hypervisor& hv) {
@@ -132,26 +136,30 @@ AuditReport audit_system(const Hypervisor& hv, const SystemWalk& walk) {
         const sim::Mfn f{m.mfn.raw() + k};
         if (!mem.contains(f)) break;
         const PageInfo& pi = frames.info(f);
-        const std::string where = "va " + hex(m.va.raw() + k * sim::kPageSize) +
-                                  " -> mfn " + hex(f.raw());
+        // The text is built only for a finding: a clean leaf costs no
+        // allocation.
+        const auto where = [&] {
+          return "va " + hex(m.va.raw() + k * sim::kPageSize) + " -> mfn " +
+                 hex(f.raw());
+        };
         if (pi.type == PageType::GrantStatus && grant_version != 2) {
           // Keep-Page-Access erroneous state: a v2 status frame is still
           // guest-reachable although the table was downgraded (XSA-387).
           report.findings.push_back(
-              {FindingKind::StaleGrantMapping, id, where});
+              {FindingKind::StaleGrantMapping, id, where()});
         }
         if (is_writable_pagetable_mapping(m.writable, pi.type)) {
           report.findings.push_back(
               {FindingKind::GuestWritablePageTable, id,
-               where + " (" + to_string(pi.type) + ")"});
+               where() + " (" + to_string(pi.type) + ")"});
         } else if (m.writable && pi.owner == kDomXen) {
           report.findings.push_back(
-              {FindingKind::GuestWritableXenFrame, id, where});
+              {FindingKind::GuestWritableXenFrame, id, where()});
         } else if (pi.owner != id && pi.owner != kDomXen &&
                    pi.owner != kDomInvalid) {
           report.findings.push_back(
               {FindingKind::GuestMapsForeignFrame, id,
-               where + " (owner d" + std::to_string(pi.owner) + ")"});
+               where() + " (owner d" + std::to_string(pi.owner) + ")"});
         }
       }
     }
@@ -170,8 +178,9 @@ AuditReport audit_system(const Hypervisor& hv, const SystemWalk& walk) {
 
   // 3. Shared Xen L3: the linear-page-table window (slots 256..511) must be
   // empty on a healthy system of any version.
+  const std::span<const std::uint8_t> xen_l3 = mem.frame_bytes(hv.xen_l3());
   for (unsigned s = 256; s < sim::kPtEntries; ++s) {
-    const sim::Pte e{mem.read_slot(hv.xen_l3(), s)};
+    const sim::Pte e{slot_at(xen_l3, s)};
     if (e.present()) {
       report.findings.push_back(
           {FindingKind::ForeignXenL3Entry, kDomInvalid,
@@ -186,9 +195,10 @@ AuditReport audit_system(const Hypervisor& hv, const SystemWalk& walk) {
   const unsigned dm_slot =
       sim::level_index_of(sim::Vaddr{kDirectmapBase}, sim::PtLevel::L4);
   for (const DomainId id : hv.domain_ids()) {
-    const Domain& dom = hv.domain(id);
+    const std::span<const std::uint8_t> l4 =
+        mem.frame_bytes(hv.domain(id).cr3());
     for (unsigned s = kXenFirstReservedSlot; s <= kXenLastReservedSlot; ++s) {
-      const sim::Pte e{mem.read_slot(dom.cr3(), s)};
+      const sim::Pte e{slot_at(l4, s)};
       bool ok;
       if (s == xen_slot) {
         ok = e.present() && e.frame() == hv.xen_l3();

@@ -33,10 +33,6 @@ struct LeafMapping {
 void for_each_leaf(const Hypervisor& hv, sim::Mfn root,
                    const std::function<void(const LeafMapping&)>& fn);
 
-/// Materialized walk: every leaf reachable from `root`, in walk order.
-[[nodiscard]] std::vector<LeafMapping> collect_leaves(const Hypervisor& hv,
-                                                      sim::Mfn root);
-
 /// The user-reachable leaf mappings of one domain's current address space.
 /// Supervisor-only leaves (Xen text, the private directmap) are not
 /// materialized: every consumer filters them out, and the directmap alone

@@ -29,10 +29,6 @@ PageInfo& FrameTable::info(sim::Mfn mfn) {
   return pi;
 }
 
-const PageInfo& FrameTable::info(sim::Mfn mfn) const {
-  return info_.at(mfn.raw());
-}
-
 void FrameTable::hand_out(std::uint64_t raw, DomainId owner) {
   PageInfo& pi = info_[raw];
   pi = PageInfo{};

@@ -106,9 +106,12 @@ class FrameTable {
   [[nodiscard]] std::uint64_t frame_count() const { return info_.size(); }
 
   /// Mutable access logs `mfn` as written; read through the const overload
-  /// where no write follows.
+  /// where no write follows. The const overload is inline: the invariant
+  /// audit reads one entry per machine frame.
   [[nodiscard]] PageInfo& info(sim::Mfn mfn);
-  [[nodiscard]] const PageInfo& info(sim::Mfn mfn) const;
+  [[nodiscard]] const PageInfo& info(sim::Mfn mfn) const {
+    return info_.at(mfn.raw());
+  }
 
   /// Entries handed out for writing since `reader` last synced.
   [[nodiscard]] std::span<const std::uint64_t> dirty_frames(

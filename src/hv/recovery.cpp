@@ -12,6 +12,7 @@
 // validation legitimately.
 #include "hv/recovery.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -78,18 +79,26 @@ InvariantReport InvariantAuditor::audit() const {
 }
 
 InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
+  return audit(audit_system(*hv_, walk));
+}
+
+InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
   InvariantReport report;
   const Hypervisor& hv = *hv_;
+  const FrameTable& frames = hv.frames();
 
   const std::vector<DomainId> ids = hv.domain_ids();
   // Invariants quantify over *runnable* domains: a crashed VM never executes
   // again, so its (possibly unsalvageable) address space is inert — exactly
   // ReHype's "failed VM" outcome, which does not count against recovery.
+  // The crashed set is worked out once; it is almost always empty, and
+  // kDomInvalid / unknown owners are never in it.
+  std::vector<DomainId> crashed;
+  for (const DomainId id : ids) {
+    if (hv.domain(id).crashed()) crashed.push_back(id);
+  }
   const auto dead = [&](DomainId id) {
-    for (const DomainId d : ids) {
-      if (d == id) return hv.domain(id).crashed();
-    }
-    return false;  // kDomInvalid / unknown owners are never "dead domains"
+    return std::find(crashed.begin(), crashed.end(), id) != crashed.end();
   };
   const auto add = [&](Invariant inv, DomainId domain, std::string detail) {
     report.findings.push_back(InvariantFinding{inv, domain, std::move(detail)});
@@ -101,8 +110,8 @@ InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
 
   // 2. Structural audits, grouped by the property they protect. The page
   // tables were walked exactly once (walk_system) and the materialized walk
-  // is shared by every structural check instead of re-walking per invariant.
-  for (const AuditFinding& f : audit_system(hv, walk).findings) {
+  // was shared by every structural check instead of re-walking per invariant.
+  for (const AuditFinding& f : structural.findings) {
     if (dead(f.domain)) continue;
     Invariant inv{};
     switch (f.kind) {
@@ -136,17 +145,18 @@ InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
       if (!hv.memory().contains(*mfn)) {
         add(Invariant::P2mConsistency, id,
             "pfn " + hex(p) + " -> out-of-range mfn " + hex(mfn->raw()));
-      } else if (hv.frames().info(*mfn).owner != id) {
+      } else if (frames.info(*mfn).owner != id) {
         add(Invariant::P2mConsistency, id,
             "pfn " + hex(p) + " -> mfn " + hex(mfn->raw()) + " owned by d" +
-                std::to_string(hv.frames().info(*mfn).owner));
+                std::to_string(frames.info(*mfn).owner));
       }
     }
   }
 
   // 4. Frame-table self-consistency (what recovery's rebuild must restore).
-  for (std::uint64_t m = 0; m < hv.frames().frame_count(); ++m) {
-    const PageInfo& pi = hv.frames().info(sim::Mfn{m});
+  // The one pass of the audit that grows with the machine, not the tables.
+  for (std::uint64_t m = 0; m < frames.frame_count(); ++m) {
+    const PageInfo& pi = frames.info(sim::Mfn{m});
     if (pi.owner == kDomXen || pi.owner == kDomInvalid || dead(pi.owner)) {
       continue;
     }
@@ -168,7 +178,7 @@ InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
   for (const DomainId id : ids) {
     const Domain& dom = hv.domain(id);
     if (dom.crashed()) continue;
-    const PageInfo& pi = hv.frames().info(dom.cr3());
+    const PageInfo& pi = frames.info(dom.cr3());
     if (pi.owner != id || pi.type != PageType::L4 || !pi.validated) {
       add(Invariant::RefcountConsistency, id,
           "cr3 mfn " + hex(dom.cr3().raw()) + " is not a validated L4 (" +

@@ -78,6 +78,12 @@ class InvariantAuditor {
   /// the identical traversal.
   [[nodiscard]] InvariantReport audit(const SystemWalk& walk) const;
 
+  /// Same checks given the structural report audit_system() already made
+  /// of the current state; nothing is walked. A caller that needs both
+  /// reports (the fuzzer tells "detected by audit" from "no effect" by the
+  /// structural one) audits the state once.
+  [[nodiscard]] InvariantReport audit(const AuditReport& structural) const;
+
  private:
   const Hypervisor* hv_;
 };

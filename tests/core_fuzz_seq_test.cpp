@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/fuzz.hpp"
@@ -24,6 +30,39 @@ SeqFuzzConfig small_config(std::uint64_t seed, unsigned iterations) {
   config.platform.dom0_pages = 128;
   config.platform.guest_pages = 64;
   return config;
+}
+
+/// A fresh directory of the test's own under the temp directory (mkdtemp),
+/// removed with its contents when the test ends, so tests run as parallel
+/// processes, or by two ctest runs on one host, never share a path.
+class OwnTempDir {
+ public:
+  OwnTempDir() {
+    std::string name =
+        (std::filesystem::temp_directory_path() / "ii_fuzz_seq_XXXXXX")
+            .string();
+    if (::mkdtemp(name.data()) == nullptr) {
+      throw std::runtime_error{"mkdtemp failed for " + name};
+    }
+    path_ = name;
+  }
+  ~OwnTempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  OwnTempDir(const OwnTempDir&) = delete;
+  OwnTempDir& operator=(const OwnTempDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::vector<char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream is{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
 }
 
 /// One op of every kind, operands chosen to exercise every serialized field.
@@ -139,9 +178,8 @@ TEST(TraceSerialization, RejectsCorruption) {
 }
 
 TEST(TraceSerialization, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ii_fuzz_seq_rt.trace")
-          .string();
+  const OwnTempDir dir;
+  const std::string path = (dir.path() / "rt.trace").string();
   CorpusEntry entry;
   entry.ops = all_kinds_trace();
   entry.outcome = FuzzOutcome::DetectedByAudit;
@@ -149,10 +187,35 @@ TEST(TraceSerialization, FileRoundTrip) {
   ASSERT_TRUE(store_trace_file(path, entry, hv::kXen48));
   hv::XenVersion version{};
   const auto got = load_trace_file(path, &version);
-  std::filesystem::remove(path);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, entry);
   EXPECT_EQ(version.major, 4);
+  EXPECT_EQ(version.minor, 8);
+}
+
+TEST(TraceSerialization, StoreNeverOverwritesAnExistingFile) {
+  // Two runs sharing a corpus directory: the second store to a name the
+  // first already wrote fails and leaves the first run's bytes as they were.
+  const OwnTempDir dir;
+  const std::filesystem::path path = dir.path() / "corpus_0000.trace";
+  CorpusEntry first;
+  first.ops = all_kinds_trace();
+  first.outcome = FuzzOutcome::DetectedByAudit;
+  first.state_hash = 42;
+  ASSERT_TRUE(store_trace_file(path.string(), first, hv::kXen48));
+  const std::vector<char> before = file_bytes(path);
+  ASSERT_FALSE(before.empty());
+
+  CorpusEntry second;
+  second.ops = {all_kinds_trace().front()};
+  second.outcome = FuzzOutcome::IsolationViolation;
+  second.state_hash = 7;
+  EXPECT_FALSE(store_trace_file(path.string(), second, hv::kXen46));
+  EXPECT_EQ(file_bytes(path), before);
+  hv::XenVersion version{};
+  const auto got = load_trace_file(path.string(), &version);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, first);
   EXPECT_EQ(version.minor, 8);
 }
 
@@ -174,15 +237,15 @@ TEST(SequenceFuzzer, DeterministicStatsAndOutcomeAccounting) {
 TEST(SequenceFuzzer, CorpusReplaysByteIdentically) {
   // Every persisted trace must reproduce its recorded outcome, classes
   // and post-state hash on a fresh platform — the CI replay gate.
-  const auto dir = std::filesystem::temp_directory_path() / "ii_fuzz_seq_c";
-  std::filesystem::remove_all(dir);
+  const OwnTempDir dir;
   SeqFuzzConfig config = small_config(7, 60);
-  config.corpus_dir = dir.string();
+  config.corpus_dir = dir.path().string();
   const SeqFuzzStats stats = run_sequence_fuzzer(config);
   EXPECT_GT(stats.corpus_entries, 0u);
+  EXPECT_EQ(stats.corpus_write_failures, 0u);
 
   std::size_t checked = 0;
-  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+  for (const auto& file : std::filesystem::directory_iterator(dir.path())) {
     hv::XenVersion version{};
     const auto entry = load_trace_file(file.path().string(), &version);
     ASSERT_TRUE(entry.has_value()) << file.path();
@@ -194,8 +257,28 @@ TEST(SequenceFuzzer, CorpusReplaysByteIdentically) {
     EXPECT_EQ(result.state_hash, entry->state_hash) << file.path();
     ++checked;
   }
-  std::filesystem::remove_all(dir);
   EXPECT_GT(checked, 0u);
+}
+
+TEST(SequenceFuzzer, RunSharingACorpusDirOverwritesNothing) {
+  // A second run into the first one's directory counts a write failure for
+  // every name the first run took, and leaves the first run's bytes alone.
+  const OwnTempDir dir;
+  SeqFuzzConfig first = small_config(7, 30);
+  first.corpus_dir = dir.path().string();
+  ASSERT_EQ(run_sequence_fuzzer(first).corpus_write_failures, 0u);
+  std::map<std::string, std::vector<char>> before;
+  for (const auto& file : std::filesystem::directory_iterator(dir.path())) {
+    before[file.path().filename().string()] = file_bytes(file.path());
+  }
+  ASSERT_FALSE(before.empty());
+
+  SeqFuzzConfig second = small_config(11, 30);
+  second.corpus_dir = first.corpus_dir;
+  EXPECT_GT(run_sequence_fuzzer(second).corpus_write_failures, 0u);
+  for (const auto& [name, bytes] : before) {
+    EXPECT_EQ(file_bytes(dir.path() / name), bytes) << name;
+  }
 }
 
 TEST(SequenceFuzzer, MinimizerPreservesOutcomeAndShrinks) {

@@ -3,8 +3,12 @@
 // behaviour of the panic and CPU-hang paths.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hv/audit.hpp"
 #include "hv/hypervisor.hpp"
+#include "hv/recovery.hpp"
 #include "obs/trace.hpp"
 
 namespace ii::hv {
@@ -122,6 +126,179 @@ TEST(Audit, ForEachLeafCoversGuestDirectmap) {
                 });
   // Every guest page except the unmapped grant-status window.
   EXPECT_EQ(user_leaves, 63u);
+}
+
+// ------------------------------------------------- finding text, pinned
+//
+// The audit builds a finding's text only when it reports the finding; these
+// pin every finding of each tampered state, text included, so the reports
+// read exactly as they always have.
+
+/// Every finding as "kind | dN | detail", in report order.
+std::vector<std::string> rendered(const AuditReport& report) {
+  std::vector<std::string> out;
+  for (const AuditFinding& f : report.findings) {
+    out.push_back(to_string(f.kind) + " | d" + std::to_string(f.domain) +
+                  " | " + f.detail);
+  }
+  return out;
+}
+
+std::vector<std::string> rendered(const InvariantReport& report) {
+  std::vector<std::string> out;
+  for (const InvariantFinding& f : report.findings) {
+    out.push_back(to_string(f.invariant) + " | d" +
+                  std::to_string(f.domain) + " | " + f.detail);
+  }
+  return out;
+}
+
+using Lines = std::vector<std::string>;
+
+TEST(AuditDetail, GuestWritablePageTable) {
+  Fixture f;
+  const sim::Mfn l1 = f.guest_mfn(60);
+  f.mem.write_slot(l1, 5, sim::Pte::make(l1, kPUW).raw());
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"guest-writable page-table frame | d1 | "
+                   "va 0xffff880000005000 -> mfn 0x92 (l1_pagetable)"}));
+}
+
+TEST(AuditDetail, GuestWritableXenFrame) {
+  Fixture f;
+  f.mem.write_slot(f.guest_mfn(60), 5,
+                   sim::Pte::make(sim::Mfn{1}, kPUW).raw());
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"guest-writable hypervisor frame | d1 | "
+                   "va 0xffff880000005000 -> mfn 0x1"}));
+}
+
+TEST(AuditDetail, GuestMapsForeignFrame) {
+  Fixture f;
+  const sim::Mfn foreign = *f.hv.domain(f.dom0).p2m(sim::Pfn{3});
+  f.mem.write_slot(f.guest_mfn(60), 5,
+                   sim::Pte::make(foreign, sim::Pte::kPresent |
+                                               sim::Pte::kUser)
+                       .raw());
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"guest mapping of foreign frame | d1 | "
+                   "va 0xffff880000005000 -> mfn 0x19 (owner d0)"}));
+}
+
+TEST(AuditDetail, CorruptIdtGate) {
+  Fixture f;
+  f.mem.write_u64(f.hv.idt().gate_address(14), 0x1234);
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"corrupt IDT gate | d32767 | "
+                   "vector 14 handler 0xffff800000001234"}));
+}
+
+TEST(AuditDetail, ForeignXenL3Entry) {
+  Fixture f;
+  f.mem.write_slot(f.hv.xen_l3(), 300,
+                   sim::Pte::make(f.guest_mfn(5), kPUW).raw());
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"foreign entry linked into shared Xen L3 | d32767 | "
+                   "xen_l3 slot 300 = 0x5b007"}));
+}
+
+TEST(AuditDetail, ReservedSlotTampered) {
+  Fixture f;
+  f.mem.write_slot(f.hv.domain(f.guest).cr3(), kLinearPtSlot,
+                   sim::Pte::make(f.hv.domain(f.guest).cr3(),
+                                  sim::Pte::kPresent | sim::Pte::kWritable |
+                                      sim::Pte::kUser)
+                       .raw());
+  // The writable self map exposes the whole table tree and the Xen frames
+  // it links, through the linear window, before the slot itself.
+  EXPECT_EQ(
+      rendered(audit_system(f.hv)),
+      (Lines{"guest-writable hypervisor frame | d1 | "
+             "va 0xffff814000000000 -> mfn 0x14",
+             "guest-writable hypervisor frame | d1 | "
+             "va 0xffff8140a0000000 -> mfn 0x13",
+             "guest-writable hypervisor frame | d1 | "
+             "va 0xffff8140a0500000 -> mfn 0x11",
+             "guest-writable page-table frame | d1 | "
+             "va 0xffff8140a0502000 -> mfn 0x95 (l4_pagetable)",
+             "guest-writable page-table frame | d1 | "
+             "va 0xffff8140a0510000 -> mfn 0x94 (l3_pagetable)",
+             "guest-writable page-table frame | d1 | "
+             "va 0xffff8140a2000000 -> mfn 0x93 (l2_pagetable)",
+             "guest-writable page-table frame | d1 | "
+             "va 0xffff814400000000 -> mfn 0x92 (l1_pagetable)",
+             "tampered reserved L4 slot | d1 | l4 slot 258 = 0x95007"}));
+}
+
+TEST(AuditDetail, StaleGrantMapping) {
+  // The XSA-387 downgrade leak: 4.8 keeps the v2 status frame mapped.
+  Fixture f{kXen48};
+  ASSERT_EQ(f.hv.grants().set_version(f.guest, 2), kOk);
+  ASSERT_EQ(f.hv.grants().set_version(f.guest, 1), kOk);
+  EXPECT_EQ(rendered(audit_system(f.hv)),
+            (Lines{"stale grant-status mapping after version downgrade | "
+                   "d1 | va 0xffff880000003000 -> mfn 0x96"}));
+}
+
+TEST(AuditDetail, P2mConsistency) {
+  Fixture f;
+  Domain& guest = f.hv.domain(f.guest);
+  guest.set_p2m(sim::Pfn{7}, sim::Mfn{f.mem.frame_count() + 9});
+  guest.set_p2m(sim::Pfn{8}, *f.hv.domain(f.dom0).p2m(sim::Pfn{3}));
+  EXPECT_EQ(rendered(InvariantAuditor{f.hv}.audit()),
+            (Lines{"p2m-consistency | d1 | pfn 0x7 -> out-of-range mfn 0x2009",
+                   "p2m-consistency | d1 | pfn 0x8 -> mfn 0x19 owned by d0"}));
+}
+
+TEST(AuditDetail, RefcountConsistency) {
+  Fixture f;
+  PageInfo& typeless = f.hv.frames().info(f.guest_mfn(20));
+  typeless.type = PageType::None;
+  typeless.type_count = 2;
+  PageInfo& unvalidated = f.hv.frames().info(f.guest_mfn(21));
+  unvalidated.type = PageType::L2;
+  unvalidated.validated = false;
+  f.hv.frames().info(f.guest_mfn(22)).ref_count = 0;
+  f.hv.frames().info(f.hv.domain(f.guest).cr3()).validated = false;
+  // The unvalidated L2 is still mapped writable by the guest's directmap.
+  EXPECT_EQ(
+      rendered(InvariantAuditor{f.hv}.audit()),
+      (Lines{"frame-type-safety | d1 | "
+             "va 0xffff880000015000 -> mfn 0x6b (l2_pagetable)",
+             "refcount-consistency | d1 | mfn 0x6a typeless with type_count 2",
+             "refcount-consistency | d1 | "
+             "mfn 0x6b typed l2_pagetable but never validated",
+             "refcount-consistency | d1 | "
+             "allocated mfn 0x6c with zero existence refs",
+             "refcount-consistency | d1 | "
+             "mfn 0x95 typed l4_pagetable but never validated",
+             "refcount-consistency | d1 | "
+             "cr3 mfn 0x95 is not a validated L4 (l4_pagetable)"}));
+}
+
+TEST(AuditDetail, Liveness) {
+  Fixture f;
+  f.hv.report_cpu_hang("CPU0: wedged");
+  f.hv.panic("halt");
+  EXPECT_EQ(rendered(InvariantAuditor{f.hv}.audit()),
+            (Lines{"liveness | d32767 | hypervisor panicked",
+                   "liveness | d32767 | CPU0 wedged"}));
+}
+
+// The split the fuzzer's "detected by audit" outcome rests on: a finding
+// on a crashed domain stays in the structural report, but no invariant
+// quantifies over a domain that never runs again.
+TEST(AuditDetail, CrashedDomainFindingIsStructuralOnly) {
+  Fixture f;
+  const sim::Mfn l1 = f.guest_mfn(60);
+  f.mem.write_slot(l1, 5, sim::Pte::make(l1, kPUW).raw());
+  f.hv.domain(f.guest).mark_crashed();
+
+  const AuditReport structural = audit_system(f.hv);
+  ASSERT_EQ(structural.findings.size(), 1u);
+  EXPECT_EQ(structural.findings.front().domain, f.guest);
+  EXPECT_TRUE(InvariantAuditor{f.hv}.audit(structural).clean());
+  EXPECT_TRUE(InvariantAuditor{f.hv}.audit().clean());
 }
 
 // -------------------------------------------------------------- exceptions

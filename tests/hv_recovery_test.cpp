@@ -3,8 +3,13 @@
 // sides of the micro-reboot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/model_checker.hpp"
 #include "guest/platform.hpp"
 #include "hv/audit.hpp"
 #include "hv/recovery.hpp"
@@ -41,10 +46,52 @@ std::unique_ptr<core::UseCase> find_case(const std::string& name) {
   return nullptr;
 }
 
+/// Every finding as "invariant | dN | detail", in report order.
+std::vector<std::string> rendered(const hv::InvariantReport& report) {
+  std::vector<std::string> out;
+  for (const hv::InvariantFinding& f : report.findings) {
+    out.push_back(hv::to_string(f.invariant) + " | d" +
+                  std::to_string(f.domain) + " | " + f.detail);
+  }
+  return out;
+}
+
 TEST(InvariantAuditor, CleanPlatformIsClean) {
   guest::VirtualPlatform p{test_config(hv::kXen48)};
   const hv::InvariantReport report = hv::InvariantAuditor{p.hv()}.audit();
   EXPECT_TRUE(report.clean()) << report.findings.size() << " findings";
+}
+
+// Callers that already hold the structural report (the fuzzer) derive the
+// invariant report from it; it must be the report the walk gives. Each
+// state is the one the use case's exploit leaves on 4.6, where all four
+// vulnerabilities are live.
+TEST(InvariantAuditor, ReportEntryPointMatchesWalkOnXsaStates) {
+  using analysis::ErroneousStateClass;
+  const std::pair<const char*, ErroneousStateClass> states[] = {
+      {"XSA-148-priv", ErroneousStateClass::Xsa148SuperpageWindow},
+      {"XSA-182-test", ErroneousStateClass::Xsa182WritableSelfMap},
+      {"XSA-212-priv", ErroneousStateClass::Xsa212IdtClobber},
+      {"XSA-387-keep", ErroneousStateClass::Xsa387StaleGrantStatus},
+  };
+  for (const auto& [name, family] : states) {
+    auto use_case = find_case(name);
+    ASSERT_NE(use_case, nullptr) << name;
+    guest::VirtualPlatform p{test_config(hv::kXen46)};
+    (void)use_case->run_exploit(p);
+    const hv::Hypervisor& vmm = p.hv();
+    const hv::SystemWalk walk = hv::walk_system(vmm);
+    const hv::InvariantReport from_walk = hv::InvariantAuditor{vmm}.audit(walk);
+    const hv::InvariantReport from_report =
+        hv::InvariantAuditor{vmm}.audit(hv::audit_system(vmm, walk));
+    const auto classes =
+        analysis::classify_erroneous_state(vmm, walk, from_walk);
+    EXPECT_NE(std::find(classes.begin(), classes.end(), family),
+              classes.end())
+        << name;
+    EXPECT_FALSE(from_walk.clean()) << name;
+    EXPECT_EQ(rendered(from_walk), rendered(from_report)) << name;
+  }
 }
 
 TEST(Recovery, CleanPlatformRecoversAndPreservesGuestMemory) {

@@ -20,6 +20,9 @@
 //   --expect-novel  exit 1 unless at least one survivor is NOT covered by
 //                   the paper's four XSA scenarios (the CI acceptance gate)
 //
+// --corpus-dir must be new or empty (exit 2 otherwise): runs never share
+// trace files. A trace file that could not be written exits 4.
+//
 // --metrics-out appends one {"type":"metrics"} JSONL record; wall time
 // rides along in the JSONL envelope, so cmp-gate stdout and the corpus
 // bytes, never the metrics file.
@@ -27,7 +30,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "core/fuzz.hpp"
 #include "cvedb/advisories.hpp"
@@ -206,6 +211,20 @@ int main(int argc, char** argv) {
       return match ? 0 : 1;
     }
 
+    if (!config.corpus_dir.empty()) {
+      // Another run's files would be overwritten or mixed into this run's
+      // corpus; a missing directory is created by the run.
+      std::error_code ec;
+      if (std::filesystem::exists(config.corpus_dir, ec) &&
+          !std::filesystem::is_empty(config.corpus_dir, ec)) {
+        std::fprintf(stderr,
+                     "fuzz_cli: --corpus-dir %s is not empty; give each run "
+                     "its own directory\n",
+                     config.corpus_dir.c_str());
+        return 2;
+      }
+    }
+
     core::CoverageMap coverage;  // only for --coverage; run owns its map
     const core::SeqFuzzStats stats = core::run_sequence_fuzzer(config);
     if (!quiet) {
@@ -231,6 +250,12 @@ int main(int argc, char** argv) {
         return 4;
       }
       writer.metrics(metrics.snapshot());
+    }
+    if (stats.corpus_write_failures != 0) {
+      std::fprintf(stderr,
+                   "fuzz_cli: %u trace file(s) could not be written to %s\n",
+                   stats.corpus_write_failures, config.corpus_dir.c_str());
+      return 4;
     }
     if (expect_novel && stats.novel_survivors() == 0) {
       std::fprintf(stderr,
