@@ -1,11 +1,10 @@
 // Randomized injection campaign (paper §IV-C's fuzz-style suggestion,
-// implemented as an extension experiment) plus the coverage-guided
-// sequence fuzzer's performance evidence (DESIGN.md §17, BENCH_PR10.json):
+// implemented as an extension experiment) on the sequence fuzzer
+// (DESIGN.md §17, BENCH_PR10.json):
 //
-//  1. the original blind write-what-where campaign across the three
-//     releases (outcome distributions);
-//  2. warm-vs-cold throughput of the blind campaign — one boot plus
-//     delta rewinds vs a cold boot per iteration;
+//  1. one blind run per release (outcome distributions, no feedback);
+//  2. warm-vs-cold throughput — the fuzzer's warm iterations (one boot plus
+//     delta rewinds) vs replay_trace, which boots once per trace;
 //  3. guided-vs-blind coverage at equal iteration budgets across seeds
 //     (the acceptance claim: guided must reach strictly more);
 //  4. the guided run's coverage growth curve per 1k iterations.
@@ -14,6 +13,8 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/fuzz.hpp"
 
@@ -35,21 +36,8 @@ ii::core::SeqFuzzConfig seq_config(std::uint64_t seed, unsigned iterations,
   return config;
 }
 
-double run_blind_campaign_ms(bool warm) {
-  ii::core::FuzzConfig config{};
-  config.version = ii::hv::kXen46;
-  config.iterations = 200;
-  config.seed = 7;
-  config.reuse_platform = warm;
-  config.platform.machine_frames = 8192;
-  config.platform.dom0_pages = 128;
-  config.platform.guest_pages = 64;
-  const auto t0 = Clock::now();
-  const ii::core::FuzzStats stats =
-      ii::core::run_random_injection_campaign(config);
-  const auto t1 = Clock::now();
-  (void)stats;
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
 }  // namespace
@@ -58,31 +46,45 @@ int main() {
   using namespace ii;
   const unsigned cores = std::thread::hardware_concurrency();
 
-  // 1. Blind campaign across releases (the original experiment).
+  // 1. One blind run per release (the original experiment).
   for (const hv::XenVersion version : {hv::kXen46, hv::kXen48, hv::kXen413}) {
-    core::FuzzConfig config{};
+    core::SeqFuzzConfig config = seq_config(7, 60, /*guided=*/false);
     config.version = version;
-    config.iterations = 60;
-    config.seed = 7;
-    config.platform.machine_frames = 8192;
-    config.platform.dom0_pages = 128;
-    config.platform.guest_pages = 64;
-    const core::FuzzStats stats = core::run_random_injection_campaign(config);
+    const core::SeqFuzzStats stats = core::run_sequence_fuzzer(config);
     std::printf("== Xen %s ==\n%s\n", version.to_string().c_str(),
                 stats.render().c_str());
   }
 
-  // 2. Warm (delta rewind) vs cold (boot per iteration) throughput.
-  for (const bool warm : {true, false}) {
-    const double ms = run_blind_campaign_ms(warm);
-    const double iters_per_sec = 200.0 / (ms / 1000.0);
-    std::printf("blind campaign %s: 200 iterations in %.1f ms "
-                "(%.0f iterations/sec)\n",
-                warm ? "warm" : "cold", ms, iters_per_sec);
-    std::printf("BENCH_JSON {\"name\":\"fuzz_blind_%s_200\","
-                "\"wall_ms\":%.1f,\"iters_per_sec\":%.1f,"
-                "\"host_cores\":%u}\n",
-                warm ? "warm" : "cold", ms, iters_per_sec, cores);
+  // 2. Warm (one boot, delta rewinds) vs cold (a boot per trace): the
+  // blind run's iterations against replay_trace over its survivors'
+  // traces, round-robin, as many times.
+  {
+    constexpr unsigned kIterations = 200;
+    const core::SeqFuzzConfig blind = seq_config(7, kIterations, false);
+    const auto warm_t0 = Clock::now();
+    const core::SeqFuzzStats warm = core::run_sequence_fuzzer(blind);
+    const double warm_ms = ms_since(warm_t0);
+    std::vector<std::vector<core::FuzzOp>> traces;
+    for (const core::Survivor& s : warm.survivors) {
+      traces.push_back(s.entry.ops);
+    }
+    if (traces.empty()) traces.emplace_back();  // still one boot per trace
+    const auto cold_t0 = Clock::now();
+    for (unsigned i = 0; i < kIterations; ++i) {
+      (void)core::replay_trace(blind, traces[i % traces.size()]);
+    }
+    const double cold_ms = ms_since(cold_t0);
+    for (const auto& [name, ms] :
+         {std::pair{"warm", warm_ms}, std::pair{"cold", cold_ms}}) {
+      const double iters_per_sec = kIterations / (ms / 1000.0);
+      std::printf("blind %s: %u iterations in %.1f ms "
+                  "(%.0f iterations/sec)\n",
+                  name, kIterations, ms, iters_per_sec);
+      std::printf("BENCH_JSON {\"name\":\"fuzz_blind_%s_%u\","
+                  "\"wall_ms\":%.1f,\"iters_per_sec\":%.1f,"
+                  "\"host_cores\":%u}\n",
+                  name, kIterations, ms, iters_per_sec, cores);
+    }
   }
 
   // 3. Guided vs blind coverage at equal budgets. The strictly-more gate

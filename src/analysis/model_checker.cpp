@@ -4,7 +4,6 @@
 // Layout of this file:
 //   - machine construction for the bounded configuration
 //   - the operation alphabet (enumerated per state, deterministic order)
-//   - operation application through the public hypercall surface
 //   - state diffing (counterexample readability)
 //   - erroneous-state classification over the shared SystemWalk
 //   - the BFS driver
@@ -84,16 +83,16 @@ struct Machine {
 /// (self-)maps, superpage attempts, reserved-slot writes, pin/unpin and
 /// baseptr switches, and exchange with benign and hostile output pointers —
 /// the full guest-issuable surface the paper's three memory XSAs sit on.
-std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
-                              const ModelCheckConfig& config,
-                              const std::vector<hv::DomainId>& guests) {
-  using Kind = Op::Kind;
+std::vector<Step> enumerate_ops(const hv::Hypervisor& vmm,
+                                const ModelCheckConfig& config,
+                                const std::vector<hv::DomainId>& guests) {
+  using Kind = hv::GuestOp::Kind;
   constexpr std::uint64_t kP = sim::Pte::kPresent;
   constexpr std::uint64_t kW = sim::Pte::kWritable;
   constexpr std::uint64_t kU = sim::Pte::kUser;
   constexpr std::uint64_t kS = sim::Pte::kPageSize;
 
-  std::vector<Op> ops;
+  std::vector<Step> ops;
   for (const hv::DomainId id : guests) {
     const hv::Domain& dom = vmm.domain(id);
     if (dom.crashed()) continue;
@@ -120,15 +119,13 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
 
     const auto add_mmu = [&](const Table& t, unsigned slot, std::uint64_t val,
                              const std::string& what) {
-      Op op;
-      op.kind = Kind::MmuUpdate;
-      op.caller = id;
-      op.ptr = sim::mfn_to_paddr(t.mfn).raw() + 8ULL * slot;
-      op.val = val;
-      op.label = who + ": mmu_update L" + std::to_string(t.level) + "[mfn " +
-                 hex(t.mfn.raw()) + "][" + std::to_string(slot) + "] <- " +
-                 what;
-      ops.push_back(std::move(op));
+      Step step{id, {}, who + ": mmu_update L" + std::to_string(t.level) +
+                            "[mfn " + hex(t.mfn.raw()) + "][" +
+                            std::to_string(slot) + "] <- " + what};
+      step.op.kind = Kind::MmuUpdate;
+      step.op.addr = sim::mfn_to_paddr(t.mfn).raw() + 8ULL * slot;
+      step.op.value = val;
+      ops.push_back(std::move(step));
     };
     const auto pte = [](sim::Mfn f, std::uint64_t flags) {
       return sim::Pte::make(f, flags).raw();
@@ -199,13 +196,11 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     // Pin / unpin / baseptr.
     const auto add_ext = [&](Kind kind, sim::Mfn mfn, int level,
                              const std::string& what) {
-      Op op;
-      op.kind = kind;
-      op.caller = id;
-      op.mfn = mfn;
-      op.level = level;
-      op.label = who + ": " + what;
-      ops.push_back(std::move(op));
+      Step step{id, {}, who + ": " + what};
+      step.op.kind = kind;
+      step.op.mfn = mfn.raw();
+      step.op.level = static_cast<std::uint8_t>(level);
+      ops.push_back(std::move(step));
     };
     if (data) {
       add_ext(Kind::Pin, *data, 1, "pin data mfn " + hex(data->raw()) + " as L1");
@@ -232,14 +227,14 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     // memory_exchange with benign and hostile output pointers.
     if (data) {
       const auto add_exchange = [&](sim::Vaddr out, const std::string& what) {
-        Op op;
-        op.kind = Kind::Exchange;
-        op.caller = id;
-        op.pfn = hv::kFirstFreePfn;
-        op.out = out;
-        op.label = who + ": exchange pfn " +
-                   std::to_string(hv::kFirstFreePfn.raw()) + ", out = " + what;
-        ops.push_back(std::move(op));
+        Step step{id, {},
+                  who + ": exchange pfn " +
+                      std::to_string(hv::kFirstFreePfn.raw()) + ", out = " +
+                      what};
+        step.op.kind = Kind::Exchange;
+        step.op.pfn = hv::kFirstFreePfn.raw();
+        step.op.out = out.raw();
+        ops.push_back(std::move(step));
       };
       add_exchange(hv::guest_directmap_vaddr(data2_pfn), "own data page");
       add_exchange(hv::directmap_vaddr(vmm.idt_base()),
@@ -252,15 +247,12 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     if (config.include_grant_ops) {
       const auto add_grant = [&](Kind kind, unsigned version, unsigned gref,
                                  const std::string& what) {
-        Op op;
-        op.kind = kind;
-        op.caller = id;
-        op.version = version;
-        op.gref = gref;
-        op.peer = hv::kDom0;
-        op.pfn = hv::kFirstFreePfn;
-        op.label = who + ": " + what;
-        ops.push_back(std::move(op));
+        Step step{id, {}, who + ": " + what};
+        step.op.kind = kind;
+        step.op.version = version;
+        step.op.gref = gref;
+        step.op.pfn = hv::kFirstFreePfn.raw();
+        ops.push_back(std::move(step));
       };
       add_grant(Kind::GrantSetVersion, 2, 0, "grant set_version 2");
       add_grant(Kind::GrantSetVersion, 1, 0, "grant set_version 1");
@@ -269,39 +261,6 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     }
   }
   return ops;
-}
-
-long apply_op(hv::Hypervisor& vmm, const Op& op) {
-  using Kind = Op::Kind;
-  switch (op.kind) {
-    case Kind::MmuUpdate: {
-      const hv::MmuUpdate req{op.ptr | hv::kMmuNormalPtUpdate, op.val};
-      return vmm.hypercall_mmu_update(op.caller, std::span{&req, 1});
-    }
-    case Kind::Pin: {
-      const auto cmd = static_cast<hv::MmuExtCmd>(
-          static_cast<int>(hv::MmuExtCmd::PinL1Table) + op.level - 1);
-      return vmm.hypercall_mmuext_op(op.caller, hv::MmuExtOp{cmd, op.mfn});
-    }
-    case Kind::Unpin:
-      return vmm.hypercall_mmuext_op(
-          op.caller, hv::MmuExtOp{hv::MmuExtCmd::UnpinTable, op.mfn});
-    case Kind::NewBaseptr:
-      return vmm.hypercall_mmuext_op(
-          op.caller, hv::MmuExtOp{hv::MmuExtCmd::NewBaseptr, op.mfn});
-    case Kind::Exchange: {
-      hv::MemoryExchange exch{{op.pfn}, op.out, 0};
-      return vmm.hypercall_memory_exchange(op.caller, exch);
-    }
-    case Kind::GrantSetVersion:
-      return vmm.grants().set_version(op.caller, op.version);
-    case Kind::GrantAccess:
-      return vmm.grants().grant_access(op.caller, op.gref, op.peer, op.pfn,
-                                       /*readonly=*/false);
-    case Kind::GrantEndAccess:
-      return vmm.grants().end_access(op.caller, op.gref);
-  }
-  return hv::kEINVAL;
 }
 
 // --------------------------------------------------------------- state diff
@@ -613,9 +572,9 @@ std::string to_string(ErroneousStateClass c) {
 
 std::string Counterexample::trace_string() const {
   std::string out;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
     if (i != 0) out += " ; ";
-    out += ops[i].label;
+    out += steps[i].label;
   }
   return out;
 }
@@ -630,85 +589,40 @@ namespace {
 /// spill decisions are identical at any thread count, and peak_frontier_bytes
 /// is a cmp-stable statistic. `resident_frames` is the delta dirty count for
 /// the serial queue and the owned-block count for a CoW node.
-std::uint64_t frontier_item_cost(const std::vector<Op>& prefix,
+std::uint64_t frontier_item_cost(const std::vector<Step>& prefix,
                                  std::uint64_t resident_frames,
                                  std::uint64_t page_infos) {
   std::uint64_t bytes = 512;
-  for (const Op& op : prefix) bytes += 128 + op.label.size();
+  for (const Step& step : prefix) bytes += 128 + step.label.size();
   return bytes + resident_frames * (sim::kPageSize + 64) + page_infos * 48;
 }
 
-// Spill records are self-delimiting little-endian blobs: the op prefix that
-// re-derives the state by replay from the root, plus the expected state
-// hash (reloads self-verify). Bookkeeping like GrantTable is deliberately
-// not serialized — replay through the public hypercall surface is the only
-// portable encoding of hypervisor-private state (DESIGN.md §16).
+// A spill record is one length-prefixed little-endian blob: the step
+// prefix that re-derives the state by replay from the root — per step the
+// caller, the shared op record (hv::encode_op) and the label — then the
+// expected state hash (reloads self-verify). Bookkeeping like GrantTable is
+// deliberately not serialized — replay through the public hypercall surface
+// is the only portable encoding of hypervisor-private state (DESIGN.md §16).
 
-void put_u8(std::string& buf, std::uint8_t v) {
-  buf.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
-}
-void put_u64(std::string& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
-}
+/// Encoded bytes of a step before its label: caller, op record, label size.
+constexpr std::size_t kStepFixedBytes = 4 + hv::kGuestOpRecordBytes + 4;
 
-void read_exact(std::istream& in, char* dst, std::size_t n) {
-  in.read(dst, static_cast<std::streamsize>(n));
-  if (in.gcount() != static_cast<std::streamsize>(n)) {
-    throw std::runtime_error{"model checker: truncated spill record"};
+std::vector<std::uint8_t> encode_spill_record(const std::vector<Step>& prefix,
+                                              std::uint64_t hash) {
+  std::vector<std::uint8_t> rec;
+  hv::put_u32(rec, 0);  // body length, patched below
+  hv::put_u32(rec, static_cast<std::uint32_t>(prefix.size()));
+  for (const Step& step : prefix) {
+    hv::put_u32(rec, step.caller);
+    hv::encode_op(rec, step.op);
+    hv::put_u32(rec, static_cast<std::uint32_t>(step.label.size()));
+    rec.insert(rec.end(), step.label.begin(), step.label.end());
   }
-}
-std::uint8_t get_u8(std::istream& in) {
-  char c = 0;
-  read_exact(in, &c, 1);
-  return static_cast<std::uint8_t>(c);
-}
-std::uint32_t get_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{get_u8(in)} << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{get_u8(in)} << (8 * i);
-  return v;
-}
-
-void put_op(std::string& buf, const Op& op) {
-  put_u8(buf, static_cast<std::uint8_t>(op.kind));
-  put_u8(buf, static_cast<std::uint8_t>(op.level));
-  put_u64(buf, static_cast<std::uint64_t>(op.caller));
-  put_u64(buf, op.ptr);
-  put_u64(buf, op.val);
-  put_u64(buf, op.mfn.raw());
-  put_u64(buf, op.pfn.raw());
-  put_u64(buf, op.out.raw());
-  put_u32(buf, op.gref);
-  put_u32(buf, op.version);
-  put_u64(buf, static_cast<std::uint64_t>(op.peer));
-  put_u32(buf, static_cast<std::uint32_t>(op.label.size()));
-  buf.append(op.label);
-}
-
-Op get_op(std::istream& in) {
-  Op op;
-  op.kind = static_cast<Op::Kind>(get_u8(in));
-  op.level = static_cast<int>(get_u8(in));
-  op.caller = static_cast<hv::DomainId>(get_u64(in));
-  op.ptr = get_u64(in);
-  op.val = get_u64(in);
-  op.mfn = sim::Mfn{get_u64(in)};
-  op.pfn = sim::Pfn{get_u64(in)};
-  op.out = sim::Vaddr{get_u64(in)};
-  op.gref = get_u32(in);
-  op.version = get_u32(in);
-  op.peer = static_cast<hv::DomainId>(get_u64(in));
-  const std::uint32_t label_len = get_u32(in);
-  op.label.resize(label_len);
-  if (label_len != 0) read_exact(in, op.label.data(), label_len);
-  return op;
+  hv::put_u64(rec, hash);
+  std::vector<std::uint8_t> length;
+  hv::put_u32(length, static_cast<std::uint32_t>(rec.size() - 4));
+  std::copy(length.begin(), length.end(), rec.begin());
+  return rec;
 }
 
 /// Append-only frontier spill file. The serial assembly stage is the only
@@ -731,13 +645,11 @@ class SpillFile {
   }
 
   /// Serialize one spilled state; returns its byte offset in the file.
-  std::uint64_t append(const std::vector<Op>& prefix, std::uint64_t hash) {
+  std::uint64_t append(const std::vector<Step>& prefix, std::uint64_t hash) {
     if (path_.empty()) create();
-    std::string rec;
-    put_u32(rec, static_cast<std::uint32_t>(prefix.size()));
-    for (const Op& op : prefix) put_op(rec, op);
-    put_u64(rec, hash);
-    out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+    const std::vector<std::uint8_t> rec = encode_spill_record(prefix, hash);
+    out_.write(reinterpret_cast<const char*>(rec.data()),
+               static_cast<std::streamsize>(rec.size()));
     if (!out_) {
       throw std::runtime_error{"model checker: spill write failed: " + path_};
     }
@@ -775,7 +687,7 @@ class SpillFile {
 };
 
 struct SpillRecord {
-  std::vector<Op> prefix;
+  std::vector<Step> prefix;
   std::uint64_t hash = 0;
 };
 
@@ -790,11 +702,38 @@ SpillRecord read_spill_record(std::ifstream& in, const std::string& path,
   }
   in.clear();  // a prior read may have left eof set
   in.seekg(static_cast<std::streamoff>(offset));
+  const auto read_bytes = [&](std::size_t n) {
+    std::vector<std::uint8_t> buf(n);
+    if (!in.read(reinterpret_cast<char*>(buf.data()),
+                 static_cast<std::streamsize>(n))) {
+      throw std::runtime_error{"model checker: truncated spill record"};
+    }
+    return buf;
+  };
+  const std::vector<std::uint8_t> length = read_bytes(4);
+  const std::vector<std::uint8_t> body =
+      read_bytes(hv::ByteReader{length}.u32());
+
+  const auto corrupt = [] {
+    return std::runtime_error{"model checker: corrupt spill record"};
+  };
+  hv::ByteReader r{body};
   SpillRecord rec;
-  const std::uint32_t n_ops = get_u32(in);
-  rec.prefix.reserve(n_ops);
-  for (std::uint32_t i = 0; i < n_ops; ++i) rec.prefix.push_back(get_op(in));
-  rec.hash = get_u64(in);
+  const std::uint32_t n_steps = r.u32();
+  if (!r.ok || n_steps > r.remaining() / kStepFixedBytes) throw corrupt();
+  rec.prefix.reserve(n_steps);
+  for (std::uint32_t i = 0; i < n_steps; ++i) {
+    Step step;
+    step.caller = static_cast<hv::DomainId>(r.u32());
+    const std::optional<hv::GuestOp> op = hv::decode_op(r);
+    if (!op) throw corrupt();
+    step.op = *op;
+    const std::span<const std::uint8_t> label = r.take(r.u32());
+    step.label.assign(label.begin(), label.end());
+    rec.prefix.push_back(std::move(step));
+  }
+  rec.hash = r.u64();
+  if (!r.ok || r.remaining() != 0) throw corrupt();
   return rec;
 }
 
@@ -825,7 +764,7 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   // Violation records diff parent and child from their dirty sets against
   // the shared root — no full snapshot is ever taken for a counterexample.
   const auto record_violation = [&](const hv::HvDelta& parent_delta,
-                                    const std::vector<Op>& ops,
+                                    const std::vector<Step>& steps,
                                     std::uint64_t state_hash,
                                     const hv::SystemWalk& walk,
                                     hv::InvariantReport report) {
@@ -840,8 +779,8 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
     }
     if (result.counterexamples.size() >= config.max_counterexamples) return;
     Counterexample cx;
-    cx.ops = ops;
-    cx.depth = static_cast<unsigned>(ops.size());
+    cx.steps = steps;
+    cx.depth = static_cast<unsigned>(steps.size());
     cx.state_hash = state_hash;
     cx.violated = violated;
     cx.classes = classes;
@@ -869,7 +808,7 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   // (O(machine) + prefix re-execution). The replay fallback preserves the
   // old scheme; both must produce identical results.
   struct WorkItem {
-    std::vector<Op> prefix;
+    std::vector<Step> prefix;
     hv::HvDelta delta;  ///< state vs root (unused by the replay fallback)
     std::uint64_t cost = 0;  ///< frontier_item_cost at admission
   };
@@ -900,7 +839,9 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
     hv::HvSnapshot parent_full;  // replay fallback only
     if (config.use_replay_fallback) {
       vmm.restore(root);
-      for (const Op& op : item.prefix) (void)apply_op(vmm, op);
+      for (const Step& step : item.prefix) {
+        (void)hv::apply_guest_op(vmm, step.caller, step.op);
+      }
       parent_full = vmm.snapshot();
       parent_delta = vmm.snapshot_delta(root);
     } else {
@@ -916,14 +857,14 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
       }
     };
 
-    const std::vector<Op> alphabet =
+    const std::vector<Step> alphabet =
         enumerate_ops(vmm, config, machine.guests);
     std::uint64_t parent_applied = 0;  // deterministic expand/audit spans,
     std::uint64_t parent_audited = 0;  // mirrored by the parallel merge
-    for (const Op& op : alphabet) {
+    for (const Step& step : alphabet) {
       ++result.ops_applied;
       ++parent_applied;
-      const long rc = apply_op(vmm, op);
+      const long rc = hv::apply_guest_op(vmm, step.caller, step.op);
       const std::uint64_t h = vmm.state_hash();
       if (h == parent_hash) {
         if (rc != hv::kOk) ++result.failed_ops;
@@ -937,8 +878,8 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
       ++result.states_explored;
       ++parent_audited;
 
-      std::vector<Op> trace = item.prefix;
-      trace.push_back(op);
+      std::vector<Step> trace = item.prefix;
+      trace.push_back(step);
       const hv::SystemWalk walk = hv::walk_system(vmm);
       hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
       if (!report.clean()) {
@@ -1048,7 +989,7 @@ struct ShardWorker {
 /// (plus its admission-time cost, which still drives chunking); reloads
 /// re-derive the state by replaying the serialized prefix from the root.
 struct CowFrontierItem {
-  std::vector<Op> prefix;
+  std::vector<Step> prefix;
   hv::HvCowState cow;
   std::uint64_t hash = 0;
   std::uint64_t cost = 0;  ///< frontier_item_cost at admission
@@ -1063,7 +1004,7 @@ struct Candidate {
   std::uint32_t parent = 0;
   std::uint32_t op = 0;
   std::uint64_t hash = 0;
-  Op op_obj;               ///< the producing op (labels the trace)
+  Step step;               ///< the producing step (labels the trace)
   hv::HvCowState cow;      ///< captured child — settle never re-applies ops
 };
 
@@ -1232,9 +1173,9 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
 
       // ---- produce: apply every op of every chunk parent exactly once.
       std::vector<const hv::HvCowState*> parent_cow(chunk_n, nullptr);
-      std::vector<const std::vector<Op>*> parent_prefix(chunk_n, nullptr);
+      std::vector<const std::vector<Step>*> parent_prefix(chunk_n, nullptr);
       std::vector<hv::HvCowState> reloaded_cow(chunk_n);
-      std::vector<std::vector<Op>> reloaded_prefix(chunk_n);
+      std::vector<std::vector<Step>> reloaded_prefix(chunk_n);
       std::vector<std::vector<std::uint8_t>> op_outcome(chunk_n);
       // inbox[shard][producer]: each producer appends only to its own
       // cell, each cell is read only after the barrier — race-free by
@@ -1264,7 +1205,9 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
             const std::uint64_t replay_marker = vmm.memory().generation();
             SpillRecord rec = read_spill_record(spill_readers[w], spill.path(),
                                                 item.spill_offset);
-            for (const Op& op : rec.prefix) (void)apply_op(vmm, op);
+            for (const Step& step : rec.prefix) {
+              (void)hv::apply_guest_op(vmm, step.caller, step.op);
+            }
             ops_executed_w[w] += rec.prefix.size();
             ++spill_reloads_w[w];
             if (vmm.state_hash() != rec.hash) {
@@ -1286,14 +1229,15 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
           // stamp fresh generations, so "written after the marker" is
           // exactly "diverged from the restored parent".
           std::uint64_t marker = vmm.memory().generation();
-          const std::vector<Op> alphabet =
+          const std::vector<Step> alphabet =
               enumerate_ops(vmm, config, self.machine.guests);
           lane.add_steps(alphabet.size());
           ops_executed_w[w] += alphabet.size();
           std::vector<std::uint8_t>& outcome = op_outcome[idx];
           outcome.assign(alphabet.size(), kOpUnchangedOk);
           for (std::uint32_t o = 0; o < alphabet.size(); ++o) {
-            const long rc = apply_op(vmm, alphabet[o]);
+            const long rc = hv::apply_guest_op(vmm, alphabet[o].caller,
+                                               alphabet[o].op);
             const std::uint64_t h = vmm.state_hash();
             if (h == parent_hash) {
               if (rc != hv::kOk) outcome[o] = kOpUnchangedFailed;
@@ -1308,7 +1252,7 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
               c.parent = static_cast<std::uint32_t>(idx);
               c.op = o;
               c.hash = h;
-              c.op_obj = alphabet[o];
+              c.step = alphabet[o];
               c.cow = vmm.snapshot_cow(self.root, parent_cow[idx], marker);
               inbox[visited.shard_of(h)][w].push_back(std::move(c));
             }
@@ -1461,8 +1405,8 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
       std::unique_ptr<obs::ScopedSpan> spill_span;
       for (std::size_t i = 0; i < claims.size(); ++i) {
         Candidate& c = claims[i];
-        std::vector<Op> trace = *parent_prefix[c.parent];
-        trace.push_back(std::move(c.op_obj));
+        std::vector<Step> trace = *parent_prefix[c.parent];
+        trace.push_back(std::move(c.step));
         Settled& s = settled[i];
         if (s.violating) {
           ++result.violations_found;
@@ -1474,8 +1418,8 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
           }
           if (result.counterexamples.size() < config.max_counterexamples) {
             Counterexample cx;
-            cx.ops = std::move(trace);
-            cx.depth = static_cast<unsigned>(cx.ops.size());
+            cx.steps = std::move(trace);
+            cx.depth = static_cast<unsigned>(cx.steps.size());
             cx.state_hash = c.hash;
             cx.violated = std::move(s.violated);
             cx.classes = std::move(s.classes);
@@ -1613,8 +1557,8 @@ std::string render_report(const ModelCheckResult& r) {
     const Counterexample& cx = r.counterexamples[i];
     out += "  counterexample #" + std::to_string(i + 1) + " (depth " +
            std::to_string(cx.depth) + ", hash " + hex(cx.state_hash) + ")\n";
-    for (std::size_t s = 0; s < cx.ops.size(); ++s) {
-      out += "    " + std::to_string(s + 1) + ". " + cx.ops[s].label + "\n";
+    for (std::size_t s = 0; s < cx.steps.size(); ++s) {
+      out += "    " + std::to_string(s + 1) + ". " + cx.steps[s].label + "\n";
     }
     out += "    violates:";
     for (const hv::Invariant inv : cx.violated) out += " " + hv::to_string(inv);

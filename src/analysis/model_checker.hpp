@@ -34,9 +34,9 @@
 #include <string_view>
 #include <vector>
 
+#include "hv/guest_op.hpp"
 #include "hv/recovery.hpp"
 #include "hv/version.hpp"
-#include "sim/types.hpp"
 
 namespace ii::obs {
 class SpanProfiler;
@@ -128,42 +128,21 @@ inline constexpr std::size_t kErroneousStateClassCount = 5;
     const hv::Hypervisor& vmm, const hv::SystemWalk& walk,
     const hv::InvariantReport& report);
 
-/// One operation of the enumerated alphabet, self-contained so a trace can
-/// be replayed against a fresh machine of the same configuration.
-struct Op {
-  enum class Kind : std::uint8_t {
-    MmuUpdate,
-    Pin,
-    Unpin,
-    NewBaseptr,
-    Exchange,
-    GrantSetVersion,
-    GrantAccess,
-    GrantEndAccess,
-  };
-  Kind kind{};
+/// One step of an enumerated trace: a guest op, the guest that issues it,
+/// and its human-readable form, e.g.
+/// "d1: mmu_update L2[mfn 0x33][0] <- 2MiB PSE superpage over own region".
+/// The op is self-contained, so a trace replays against a fresh machine of
+/// the same configuration through hv::apply_guest_op.
+struct Step {
   hv::DomainId caller = 0;
-  // MmuUpdate: machine slot address and raw entry value.
-  std::uint64_t ptr = 0;
-  std::uint64_t val = 0;
-  // Pin (level 1..4) / Unpin / NewBaseptr.
-  sim::Mfn mfn{};
-  int level = 0;
-  // Exchange.
-  sim::Pfn pfn{};
-  sim::Vaddr out{};
-  // Grant.
-  unsigned gref = 0;
-  unsigned version = 0;
-  hv::DomainId peer = hv::kDomInvalid;
-  /// Human-readable form, e.g. "d1: mmu_update l2[0] <- 0x100e7 (PSE)".
+  hv::GuestOp op;
   std::string label;
 };
 
 /// A minimal trace into a violating state.
 struct Counterexample {
-  std::vector<Op> ops;             ///< root → violation, in order
-  unsigned depth = 0;              ///< == ops.size()
+  std::vector<Step> steps;         ///< root → violation, in order
+  unsigned depth = 0;              ///< == steps.size()
   std::uint64_t state_hash = 0;    ///< hash of the violating state
   hv::InvariantReport report;      ///< the failed audit, with details
   std::vector<hv::Invariant> violated;          ///< deduplicated

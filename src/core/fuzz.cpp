@@ -7,12 +7,10 @@
 #include <fstream>
 #include <iomanip>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <sstream>
 
 #include "core/chaos.hpp"
-#include "core/injector.hpp"
 #include "hv/audit.hpp"
 #include "hv/errors.hpp"
 #include "hv/layout.hpp"
@@ -29,21 +27,6 @@ std::string to_string(FuzzOutcome outcome) {
     case FuzzOutcome::IsolationViolation: return "ISOLATION VIOLATION";
     case FuzzOutcome::HostCrash: return "HOST CRASH";
     case FuzzOutcome::CpuHang: return "CPU HANG";
-  }
-  return "unknown";
-}
-
-std::string to_string(FuzzOp::Kind kind) {
-  switch (kind) {
-    case FuzzOp::Kind::ArbitraryWrite: return "arbitrary_write";
-    case FuzzOp::Kind::MmuUpdate: return "mmu_update";
-    case FuzzOp::Kind::Pin: return "pin";
-    case FuzzOp::Kind::Unpin: return "unpin";
-    case FuzzOp::Kind::NewBaseptr: return "new_baseptr";
-    case FuzzOp::Kind::Exchange: return "exchange";
-    case FuzzOp::Kind::GrantSetVersion: return "grant_set_version";
-    case FuzzOp::Kind::GrantAccess: return "grant_access";
-    case FuzzOp::Kind::GrantEndAccess: return "grant_end_access";
   }
   return "unknown";
 }
@@ -75,171 +58,6 @@ std::mt19937_64 rng_for(std::uint64_t seed, std::uint64_t iteration) {
   return std::mt19937_64{seq};
 }
 
-namespace {
-
-std::string target_name(FuzzTarget target) {
-  switch (target) {
-    case FuzzTarget::OwnL1Slot: return "own L1 slot";
-    case FuzzTarget::OwnL4Slot: return "own L4 slot";
-    case FuzzTarget::IdtBytes: return "IDT gate bytes";
-    case FuzzTarget::XenL3Slot: return "shared Xen L3 slot";
-    case FuzzTarget::WildPhysical: return "wild physical address";
-  }
-  return "unknown";
-}
-
-/// A plausible-but-random PTE value: a frame somewhere in the machine plus
-/// a random flag cocktail (biased towards present entries — non-present
-/// injections are overwhelmingly inert).
-std::uint64_t random_pte(std::mt19937_64& rng, std::uint64_t frames) {
-  // Bias towards the low, populated frame region (hypervisor image, dom0,
-  // guests all live there): a uniform draw over a mostly-empty machine
-  // would make almost every injected entry point at free frames and tell
-  // us nothing.
-  const std::uint64_t frame =
-      draw_below(rng, 4) == 0
-          ? draw_below(rng, frames)
-          : draw_below(rng, std::max<std::uint64_t>(frames / 32, 1));
-  std::uint64_t flags = 0;
-  if (draw_below(rng, 8) != 0) flags |= sim::Pte::kPresent;
-  if (draw_below(rng, 2)) flags |= sim::Pte::kWritable;
-  if (draw_below(rng, 4) != 0) flags |= sim::Pte::kUser;
-  if (draw_below(rng, 8) == 0) flags |= sim::Pte::kPageSize;
-  if (draw_below(rng, 16) == 0) flags |= sim::Pte::kNoExecute;
-  return sim::Pte::make(sim::Mfn{frame}, flags).raw();
-}
-
-/// Injection target for one blind write (shared with the sequence fuzzer's
-/// ArbitraryWrite generator).
-void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
-                    FuzzTarget target, std::uint64_t* address,
-                    std::uint64_t* value) {
-  guest::GuestKernel& attacker = platform.guest(0);
-  const std::uint64_t frames = platform.memory().frame_count();
-  *value = random_pte(rng, frames);
-  switch (target) {
-    case FuzzTarget::OwnL1Slot:
-      *address = sim::mfn_to_paddr(attacker.l1_mfn(0)).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::OwnL4Slot:
-      *address = sim::mfn_to_paddr(attacker.l4_mfn()).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::IdtBytes:
-      *address = platform.hv().idt_base().raw() +
-                 draw_below(rng, sim::kIdtVectors * sim::Idt::kGateBytes - 8);
-      *value = rng();
-      break;
-    case FuzzTarget::XenL3Slot:
-      *address = sim::mfn_to_paddr(platform.hv().xen_l3()).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::WildPhysical:
-      *address = draw_below(rng, platform.memory().byte_size() - 8);
-      *value = rng();
-      break;
-  }
-}
-
-/// One iteration: inject, activate, classify. The platform arrives at its
-/// boot baseline (fresh or rewound — byte-identical either way).
-FuzzOutcome run_one(const FuzzConfig& config, unsigned iteration,
-                    guest::VirtualPlatform& platform, FuzzTarget* chosen) {
-  std::mt19937_64 rng = rng_for(config.seed, iteration);
-  guest::GuestKernel& attacker = platform.guest(0);
-  ArbitraryAccessInjector injector{attacker};
-
-  const auto target =
-      static_cast<FuzzTarget>(draw_below(rng, kFuzzTargetCount));
-  *chosen = target;
-  std::uint64_t address = 0;
-  std::uint64_t value = 0;
-  draw_injection(rng, platform, target, &address, &value);
-
-  if (!injector.write_u64(address, value, AddressMode::Physical)) {
-    return FuzzOutcome::Refused;
-  }
-
-  // Activation workload: ordinary guest behaviour that would trip over the
-  // injected state — touch own memory, take a page fault, raise a couple of
-  // interrupt vectors, run the event loop.
-  std::array<std::uint8_t, 8> buf{};
-  for (unsigned i = 0; i < 4; ++i) {
-    const sim::Pfn pfn{guest::kFirstFreePfn.raw() + draw_below(rng, 8)};
-    (void)attacker.read_virt(attacker.pfn_va(pfn), buf);
-  }
-  (void)attacker.read_virt(sim::Vaddr{0xDEAD000000ULL}, buf);  // page fault
-  (void)attacker.software_interrupt(
-      static_cast<unsigned>(draw_below(rng, 256)));
-  (void)attacker.handle_events();
-
-  // Classification, most severe first.
-  if (platform.hv().crashed()) return FuzzOutcome::HostCrash;
-  if (platform.hv().cpu_hung()) return FuzzOutcome::CpuHang;
-  const hv::AuditReport report = hv::audit_system(platform.hv());
-  const bool isolation =
-      report.has(hv::FindingKind::GuestWritablePageTable) ||
-      report.has(hv::FindingKind::GuestWritableXenFrame) ||
-      report.has(hv::FindingKind::GuestMapsForeignFrame);
-  if (isolation) return FuzzOutcome::IsolationViolation;
-  if (!report.clean()) return FuzzOutcome::DetectedByAudit;
-  return FuzzOutcome::NoObservableEffect;
-}
-
-}  // namespace
-
-std::string FuzzStats::render() const {
-  std::ostringstream os;
-  os << "randomized injections: " << iterations << " (refused: "
-     << injections_refused << ")\n";
-  for (const auto& [outcome, count] : outcomes) {
-    os << "  " << to_string(outcome) << ": " << count << "\n";
-  }
-  os << "targets drawn:\n";
-  for (const auto& [target, count] : targets) {
-    os << "  " << target_name(target) << ": " << count << "\n";
-  }
-  return os.str();
-}
-
-FuzzStats run_random_injection_campaign(const FuzzConfig& config) {
-  FuzzStats stats;
-  stats.iterations = config.iterations;
-
-  guest::PlatformConfig pc = config.platform;
-  pc.version = config.version;
-  pc.injector_enabled = true;
-
-  // Warm path: one boot, then rewind to the baseline between iterations —
-  // the same delta-restore machinery the campaign pool uses. A rewound
-  // platform is byte-identical to a fresh boot, so outcome/refused/target
-  // counts match the cold path exactly (regression-tested).
-  std::unique_ptr<guest::VirtualPlatform> platform;
-  std::unique_ptr<guest::PlatformBaseline> baseline;
-  for (unsigned i = 0; i < config.iterations; ++i) {
-    if (platform == nullptr) {
-      platform = std::make_unique<guest::VirtualPlatform>(pc);
-      ++stats.platform_boots;
-      if (config.reuse_platform) {
-        baseline = std::make_unique<guest::PlatformBaseline>(
-            platform->baseline());
-      }
-    } else if (config.reuse_platform) {
-      platform->restore(*baseline);
-    } else {
-      platform = std::make_unique<guest::VirtualPlatform>(pc);
-      ++stats.platform_boots;
-    }
-    FuzzTarget target{};
-    const FuzzOutcome outcome = run_one(config, i, *platform, &target);
-    ++stats.outcomes[outcome];
-    ++stats.targets[target];
-    if (outcome == FuzzOutcome::Refused) ++stats.injections_refused;
-  }
-  return stats;
-}
-
 // ------------------------------------------------------------ coverage map
 
 CoverageMap::CoverageMap() : bits_(total_points(), false) {}
@@ -255,8 +73,8 @@ std::size_t coverage_index(std::size_t context, hv::PageType frame_type,
 }
 
 std::string context_name(std::size_t context) {
-  return context < kFuzzOpKindCount
-             ? to_string(static_cast<FuzzOp::Kind>(context))
+  return context < hv::kGuestOpKindCount
+             ? hv::to_string(static_cast<FuzzOp::Kind>(context))
              : std::string{"activation"};
 }
 
@@ -300,96 +118,44 @@ namespace {
 constexpr std::uint32_t kTraceMagic = 0x5A464949;  // "IIFZ" little-endian
 constexpr std::uint8_t kTraceFormat = 1;
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian cursor; `ok` latches false on any overrun.
-struct TraceReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (pos + 1 > bytes.size()) { ok = false; return 0; }
-    return bytes[pos++];
-  }
-  std::uint32_t u32() {
-    if (pos + 4 > bytes.size()) { ok = false; return 0; }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (pos + 8 > bytes.size()) { ok = false; return 0; }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-};
-
 }  // namespace
 
 std::vector<std::uint8_t> serialize_trace(const CorpusEntry& entry,
                                           hv::XenVersion version) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kTraceMagic);
-  put_u8(out, kTraceFormat);
-  put_u8(out, static_cast<std::uint8_t>(version.major));
-  put_u8(out, static_cast<std::uint8_t>(version.minor));
-  put_u32(out, static_cast<std::uint32_t>(entry.ops.size()));
-  for (const FuzzOp& op : entry.ops) {
-    put_u8(out, static_cast<std::uint8_t>(op.kind));
-    put_u8(out, op.level);
-    put_u64(out, op.addr);
-    put_u64(out, op.value);
-    put_u64(out, op.mfn);
-    put_u64(out, op.pfn);
-    put_u64(out, op.out);
-    put_u32(out, op.gref);
-    put_u32(out, op.version);
-  }
-  put_u8(out, static_cast<std::uint8_t>(entry.outcome));
-  put_u32(out, static_cast<std::uint32_t>(entry.classes.size()));
+  hv::put_u32(out, kTraceMagic);
+  hv::put_u8(out, kTraceFormat);
+  hv::put_u8(out, static_cast<std::uint8_t>(version.major));
+  hv::put_u8(out, static_cast<std::uint8_t>(version.minor));
+  hv::put_u32(out, static_cast<std::uint32_t>(entry.ops.size()));
+  for (const FuzzOp& op : entry.ops) hv::encode_op(out, op);
+  hv::put_u8(out, static_cast<std::uint8_t>(entry.outcome));
+  hv::put_u32(out, static_cast<std::uint32_t>(entry.classes.size()));
   for (const auto c : entry.classes) {
-    put_u8(out, static_cast<std::uint8_t>(c));
+    hv::put_u8(out, static_cast<std::uint8_t>(c));
   }
-  put_u64(out, entry.state_hash);
+  hv::put_u64(out, entry.state_hash);
   return out;
 }
 
 std::optional<CorpusEntry> deserialize_trace(
     std::span<const std::uint8_t> bytes, hv::XenVersion* version) {
-  TraceReader in{bytes};
+  hv::ByteReader in{bytes};
   if (in.u32() != kTraceMagic) return std::nullopt;
   if (in.u8() != kTraceFormat) return std::nullopt;
   const int major = in.u8();
   const int minor = in.u8();
   const std::uint32_t n_ops = in.u32();
-  if (!in.ok || n_ops > (1u << 20)) return std::nullopt;
+  // Bound the count by the bytes actually present before reserving for it.
+  if (!in.ok || n_ops > in.remaining() / hv::kGuestOpRecordBytes) {
+    return std::nullopt;
+  }
   CorpusEntry entry;
   entry.ops.reserve(n_ops);
   for (std::uint32_t i = 0; i < n_ops; ++i) {
-    FuzzOp op;
-    const std::uint8_t kind = in.u8();
-    if (kind >= kFuzzOpKindCount) return std::nullopt;
-    op.kind = static_cast<FuzzOp::Kind>(kind);
-    op.level = in.u8();
-    op.addr = in.u64();
-    op.value = in.u64();
-    op.mfn = in.u64();
-    op.pfn = in.u64();
-    op.out = in.u64();
-    op.gref = in.u32();
-    op.version = in.u32();
-    if (!in.ok) return std::nullopt;
-    entry.ops.push_back(op);
+    const std::optional<FuzzOp> op = hv::decode_op(in);
+    if (!op) return std::nullopt;
+    entry.ops.push_back(*op);
   }
   const std::uint8_t outcome = in.u8();
   if (outcome > static_cast<std::uint8_t>(FuzzOutcome::CpuHang)) {
@@ -448,7 +214,7 @@ namespace {
 class MapHook final : public hv::CoverageHook {
  public:
   CoverageMap* map = nullptr;
-  std::size_t context = kFuzzOpKindCount;
+  std::size_t context = hv::kGuestOpKindCount;
   unsigned fresh = 0;
 
   void on_branch(hv::ValidationBranch branch,
@@ -456,53 +222,6 @@ class MapHook final : public hv::CoverageHook {
     if (map != nullptr && map->record(context, frame_type, branch)) ++fresh;
   }
 };
-
-/// Apply one FuzzOp through the real guest-facing interfaces — the same
-/// dispatch the model checker uses, plus the injector hypercall.
-long apply_fuzz_op(guest::VirtualPlatform& platform, const FuzzOp& op) {
-  using Kind = FuzzOp::Kind;
-  hv::Hypervisor& vmm = platform.hv();
-  guest::GuestKernel& attacker = platform.guest(0);
-  const hv::DomainId caller = attacker.id();
-  switch (op.kind) {
-    case Kind::ArbitraryWrite: {
-      ArbitraryAccessInjector injector{attacker};
-      if (injector.write_u64(op.addr, op.value, AddressMode::Physical)) {
-        return hv::kOk;
-      }
-      const long rc = injector.last_rc();
-      return rc != hv::kOk ? rc : hv::kEINVAL;
-    }
-    case Kind::MmuUpdate: {
-      const hv::MmuUpdate req{op.addr | hv::kMmuNormalPtUpdate, op.value};
-      return vmm.hypercall_mmu_update(caller, std::span{&req, 1});
-    }
-    case Kind::Pin: {
-      const auto cmd = static_cast<hv::MmuExtCmd>(
-          static_cast<int>(hv::MmuExtCmd::PinL1Table) + op.level - 1);
-      return vmm.hypercall_mmuext_op(caller,
-                                     hv::MmuExtOp{cmd, sim::Mfn{op.mfn}});
-    }
-    case Kind::Unpin:
-      return vmm.hypercall_mmuext_op(
-          caller, hv::MmuExtOp{hv::MmuExtCmd::UnpinTable, sim::Mfn{op.mfn}});
-    case Kind::NewBaseptr:
-      return vmm.hypercall_mmuext_op(
-          caller, hv::MmuExtOp{hv::MmuExtCmd::NewBaseptr, sim::Mfn{op.mfn}});
-    case Kind::Exchange: {
-      hv::MemoryExchange exch{{sim::Pfn{op.pfn}}, sim::Vaddr{op.out}, 0};
-      return vmm.hypercall_memory_exchange(caller, exch);
-    }
-    case Kind::GrantSetVersion:
-      return vmm.grants().set_version(caller, op.version);
-    case Kind::GrantAccess:
-      return vmm.grants().grant_access(caller, op.gref, hv::kDom0,
-                                       sim::Pfn{op.pfn}, /*readonly=*/false);
-    case Kind::GrantEndAccess:
-      return vmm.grants().end_access(caller, op.gref);
-  }
-  return hv::kEINVAL;
-}
 
 /// Execute `ops` then the activation workload on a platform that is at its
 /// boot baseline, recording coverage into `map` (when given) and
@@ -521,14 +240,14 @@ TraceResult execute_trace(guest::VirtualPlatform& platform,
   TraceResult result;
   for (const FuzzOp& op : ops) {
     hook.context = static_cast<std::size_t>(op.kind);
-    const long rc = apply_fuzz_op(platform, op);
+    const long rc = hv::apply_guest_op(vmm, attacker.id(), op);
     ++result.ops_executed;
     if (rc != hv::kOk) ++result.ops_refused;
     if (vmm.crashed() || vmm.cpu_hung()) break;
   }
 
   if (!vmm.crashed() && !vmm.cpu_hung()) {
-    hook.context = kFuzzOpKindCount;
+    hook.context = hv::kGuestOpKindCount;
     std::array<std::uint8_t, 8> buf{};
     for (unsigned i = 0; i < 4; ++i) {
       const sim::Pfn pfn{guest::kFirstFreePfn.raw() + i};
@@ -569,6 +288,59 @@ TraceResult execute_trace(guest::VirtualPlatform& platform,
 }
 
 // --------------------------------------------------------- trace generation
+
+/// A plausible-but-random PTE value: a frame somewhere in the machine plus
+/// a random flag cocktail (biased towards present entries — non-present
+/// injections are overwhelmingly inert).
+std::uint64_t random_pte(std::mt19937_64& rng, std::uint64_t frames) {
+  // Bias towards the low, populated frame region (hypervisor image, dom0,
+  // guests all live there): a uniform draw over a mostly-empty machine
+  // would make almost every injected entry point at free frames and tell
+  // us nothing.
+  const std::uint64_t frame =
+      draw_below(rng, 4) == 0
+          ? draw_below(rng, frames)
+          : draw_below(rng, std::max<std::uint64_t>(frames / 32, 1));
+  std::uint64_t flags = 0;
+  if (draw_below(rng, 8) != 0) flags |= sim::Pte::kPresent;
+  if (draw_below(rng, 2)) flags |= sim::Pte::kWritable;
+  if (draw_below(rng, 4) != 0) flags |= sim::Pte::kUser;
+  if (draw_below(rng, 8) == 0) flags |= sim::Pte::kPageSize;
+  if (draw_below(rng, 16) == 0) flags |= sim::Pte::kNoExecute;
+  return sim::Pte::make(sim::Mfn{frame}, flags).raw();
+}
+
+/// Target address and value of one ArbitraryWrite op.
+void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
+                    FuzzTarget target, std::uint64_t* address,
+                    std::uint64_t* value) {
+  guest::GuestKernel& attacker = platform.guest(0);
+  const std::uint64_t frames = platform.memory().frame_count();
+  *value = random_pte(rng, frames);
+  switch (target) {
+    case FuzzTarget::OwnL1Slot:
+      *address = sim::mfn_to_paddr(attacker.l1_mfn(0)).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::OwnL4Slot:
+      *address = sim::mfn_to_paddr(attacker.l4_mfn()).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::IdtBytes:
+      *address = platform.hv().idt_base().raw() +
+                 draw_below(rng, sim::kIdtVectors * sim::Idt::kGateBytes - 8);
+      *value = rng();
+      break;
+    case FuzzTarget::XenL3Slot:
+      *address = sim::mfn_to_paddr(platform.hv().xen_l3()).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::WildPhysical:
+      *address = draw_below(rng, platform.memory().byte_size() - 8);
+      *value = rng();
+      break;
+  }
+}
 
 FuzzOp random_op_of_kind(std::mt19937_64& rng,
                          guest::VirtualPlatform& platform,
@@ -664,7 +436,7 @@ FuzzOp random_op_of_kind(std::mt19937_64& rng,
 FuzzOp random_op(std::mt19937_64& rng, guest::VirtualPlatform& platform) {
   return random_op_of_kind(
       rng, platform,
-      static_cast<FuzzOp::Kind>(draw_below(rng, kFuzzOpKindCount)));
+      static_cast<FuzzOp::Kind>(draw_below(rng, hv::kGuestOpKindCount)));
 }
 
 std::vector<FuzzOp> random_trace(std::mt19937_64& rng,

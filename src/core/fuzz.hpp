@@ -5,29 +5,23 @@
 //    approach that resembles fuzzing testing but in another level of
 //    interaction, in a post-attack phase."
 //
-// Two engines implement that suggestion:
-//
-//  - run_random_injection_campaign: the original blind engine. Each
-//    iteration boots (or rewinds) a platform, drives one randomized
-//    write-what-where erroneous state through the arbitrary-access injector
-//    and classifies what the system did with it. No feedback, no memory.
-//
-//  - run_sequence_fuzzer: the coverage-guided engine (DESIGN.md §17).
-//    Iterations execute *hypercall traces* — sequences of FuzzOps spanning
-//    the whole guest-issuable surface plus the injector — against a warm
-//    platform. Between runs it is rewound to its boot baseline, and the
-//    rewind and the state hash cost what the trace dirtied, not the machine
-//    size (hv/snapshot.cpp, DESIGN.md §10).
-//    A CoverageMap keyed on (op kind × frame type × validation branch)
-//    is fed by a hv::CoverageHook planted in the validation engine; traces
-//    that light up new coverage enter a corpus and a mutation scheduler
-//    preferentially extends/mutates the entries that grew coverage most
-//    recently. Traces that end in an erroneous state survive: they are
-//    shrunk by a delta-debugging minimizer, classified against the model
-//    checker's erroneous-state families, and flagged as *novel* when the
-//    four XSA scenarios do not cover them. Corpus traces serialize to
-//    self-delimiting records (same idiom as the checker's spill file) and
-//    replay byte-identically.
+// run_sequence_fuzzer implements that suggestion as a coverage-guided
+// engine (DESIGN.md §17). Iterations execute *hypercall traces* —
+// sequences of hv::GuestOp spanning the whole guest-issuable surface plus
+// the injector, the vocabulary the model checker enumerates — against a
+// warm platform. Between runs it is rewound to its boot baseline, and the
+// rewind and the state hash cost what the trace dirtied, not the machine
+// size (hv/snapshot.cpp, DESIGN.md §10). A CoverageMap keyed on (op kind ×
+// frame type × validation branch) is fed by a hv::CoverageHook planted in
+// the validation engine; traces that light up new coverage enter a corpus
+// and a mutation scheduler preferentially extends/mutates the entries that
+// grew coverage most recently. Traces that end in an erroneous state
+// survive: they are shrunk by a delta-debugging minimizer, classified
+// against the model checker's erroneous-state families, and flagged as
+// *novel* when the four XSA scenarios do not cover them. With `guided`
+// off, every trace is drawn fresh: the blind baseline. Corpus traces
+// serialize through the shared op record (hv/guest_op.hpp) and replay
+// byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +35,7 @@
 #include "analysis/model_checker.hpp"
 #include "guest/platform.hpp"
 #include "hv/coverage.hpp"
+#include "hv/guest_op.hpp"
 
 namespace ii::obs {
 class MetricsRegistry;  // obs/metrics.hpp
@@ -49,10 +44,10 @@ class SpanProfiler;     // obs/span.hpp
 
 namespace ii::core {
 
-/// Classified consequence of one randomized injection or one trace.
+/// Classified consequence of one trace.
 enum class FuzzOutcome {
   NoObservableEffect,   ///< nothing the monitor can see changed
-  Refused,              ///< every attempted injection was refused
+  Refused,              ///< every op of the trace was refused
   DetectedByAudit,      ///< audit findings, but no violation materialized
   IsolationViolation,   ///< an isolation invariant no longer holds
   HostCrash,            ///< hypervisor panic
@@ -61,8 +56,7 @@ enum class FuzzOutcome {
 
 [[nodiscard]] std::string to_string(FuzzOutcome outcome);
 
-/// Target classes the blind generator draws from. Exposed so campaigns can
-/// restrict the state space to one intrusion model.
+/// Target classes an ArbitraryWrite op is drawn over.
 enum class FuzzTarget {
   OwnL1Slot,      ///< random slot of the attacker's leaf table
   OwnL4Slot,      ///< random slot of the attacker's top-level table
@@ -92,81 +86,14 @@ inline constexpr std::size_t kFuzzTargetCount = 5;
 [[nodiscard]] std::mt19937_64 rng_for(std::uint64_t seed,
                                       std::uint64_t iteration);
 
-// --------------------------------------------------------- blind campaign
-
-struct FuzzConfig {
-  hv::XenVersion version = hv::kXen46;
-  unsigned iterations = 50;
-  /// Campaign seed; see rng_for.
-  std::uint64_t seed = 1;
-  /// Boot one platform and rewind it to its baseline() between iterations
-  /// (delta restore, O(dirty frames)) instead of cold-booting every time.
-  /// Outcomes are identical either way — a restored platform is
-  /// byte-identical to a fresh boot — so this is purely a speed knob, kept
-  /// toggleable for the regression test that proves exactly that.
-  bool reuse_platform = true;
-  /// Platform shape per iteration (version/injector overridden).
-  guest::PlatformConfig platform{};
-};
-
-struct FuzzStats {
-  std::map<FuzzOutcome, unsigned> outcomes;
-  std::map<FuzzTarget, unsigned> targets;
-  unsigned iterations = 0;
-  /// Equals count(FuzzOutcome::Refused); kept as a named field because
-  /// reports cite it directly. Refused iterations are no longer *also*
-  /// counted under NoObservableEffect (the old double-count bug).
-  unsigned injections_refused = 0;
-  unsigned platform_boots = 0;  ///< 1 with reuse_platform, else iterations
-
-  [[nodiscard]] unsigned count(FuzzOutcome outcome) const {
-    auto it = outcomes.find(outcome);
-    return it == outcomes.end() ? 0 : it->second;
-  }
-  [[nodiscard]] std::string render() const;
-};
-
-/// Run the randomized campaign. Deterministic for a given config.
-[[nodiscard]] FuzzStats run_random_injection_campaign(const FuzzConfig& config);
-
 // ------------------------------------------------------- sequence fuzzer
 
-/// One operation of a fuzz trace: the model checker's guest-issuable
-/// alphabet plus the injector's write-what-where. Self-contained (absolute
-/// addresses/frames against the deterministic boot layout) so any trace
-/// replays against a fresh platform of the same configuration.
-struct FuzzOp {
-  enum class Kind : std::uint8_t {
-    ArbitraryWrite,   ///< injector write (addr = machine byte address)
-    MmuUpdate,        ///< validated PTE write (addr = slot machine address)
-    Pin,              ///< pin mfn as an L<level> table
-    Unpin,
-    NewBaseptr,
-    Exchange,         ///< trade pfn, replacement MFN written to out
-    GrantSetVersion,
-    GrantAccess,
-    GrantEndAccess,
-  };
-  Kind kind = Kind::ArbitraryWrite;
-  std::uint8_t level = 0;     ///< Pin: table level 1..4
-  std::uint64_t addr = 0;     ///< ArbitraryWrite/MmuUpdate target
-  std::uint64_t value = 0;    ///< written value / raw PTE
-  std::uint64_t mfn = 0;      ///< Pin/Unpin/NewBaseptr frame
-  std::uint64_t pfn = 0;      ///< Exchange in-extent / GrantAccess page
-  std::uint64_t out = 0;      ///< Exchange output pointer (guest VA)
-  std::uint32_t gref = 0;     ///< grant reference
-  std::uint32_t version = 0;  ///< GrantSetVersion argument
-
-  friend bool operator==(const FuzzOp&, const FuzzOp&) = default;
-};
-
-inline constexpr std::size_t kFuzzOpKindCount = 9;
-
-[[nodiscard]] std::string to_string(FuzzOp::Kind kind);
+/// One operation of a fuzz trace: the shared guest-op vocabulary.
+using FuzzOp = hv::GuestOp;
 
 /// Coverage contexts: one per op kind, plus one for the activation workload
 /// that runs after the trace (reads, faults, interrupts, event loop).
-inline constexpr std::size_t kCoverageContexts = kFuzzOpKindCount + 1;
+inline constexpr std::size_t kCoverageContexts = hv::kGuestOpKindCount + 1;
 
 /// Dense (op kind × frame type × validation branch) bitmap. record()
 /// reports whether the triple was new — the fuzzer's feedback bit.
@@ -214,11 +141,12 @@ struct CorpusEntry {
   friend bool operator==(const CorpusEntry&, const CorpusEntry&) = default;
 };
 
-/// Self-delimiting little-endian serialization (the model checker's
-/// spill-record idiom): fixed header, op records, recorded result.
+/// IIFZ format 1, little-endian: fixed header, one shared op record
+/// (hv::encode_op) per op, recorded result.
 [[nodiscard]] std::vector<std::uint8_t> serialize_trace(
     const CorpusEntry& entry, hv::XenVersion version);
-/// Parse; nullopt on a short, malformed or wrong-magic buffer.
+/// Parse; nullopt on a short, malformed or wrong-magic buffer, or on an op
+/// record decode_op rejects.
 [[nodiscard]] std::optional<CorpusEntry> deserialize_trace(
     std::span<const std::uint8_t> bytes, hv::XenVersion* version = nullptr);
 

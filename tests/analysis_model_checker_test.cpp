@@ -117,8 +117,8 @@ TEST(ModelChecker, CounterexamplesCarryDiffAndFindings) {
   const auto result = run_model_check(config_for(hv::kXen46, 1));
   ASSERT_FALSE(result.counterexamples.empty());
   const Counterexample& cx = result.counterexamples.front();
-  EXPECT_FALSE(cx.ops.empty());
-  EXPECT_FALSE(cx.ops.front().label.empty());
+  EXPECT_FALSE(cx.steps.empty());
+  EXPECT_FALSE(cx.steps.front().label.empty());
   EXPECT_FALSE(cx.state_diff.empty());
   EXPECT_FALSE(cx.report.findings.empty());
   EXPECT_FALSE(cx.violated.empty());
@@ -262,36 +262,45 @@ TEST(ModelChecker, SpillingPreservesTheReportExactly) {
   // Force the frontier through the spill file with a budget far below the
   // depth-2/3 frontier size: every externally visible result must match
   // the unbounded run, and only ops_executed may grow (replay reloads).
-  auto config = config_for(hv::kXen46, 3);
-  config.threads = 2;
-  const auto unbounded = run_model_check(config);
-  ASSERT_FALSE(unbounded.truncated);
-  EXPECT_EQ(unbounded.frontier_spilled_items, 0u);
-  EXPECT_EQ(unbounded.ops_executed, unbounded.ops_applied);
+  // The two-guest case carries steps of a second caller through the spill
+  // records.
+  for (const unsigned guests : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(guests) + " guest(s)");
+    auto config = config_for(hv::kXen46, 3);
+    config.threads = 2;
+    config.guest_domains = guests;
+    config.machine_frames =
+        16 + config.dom0_pages + guests * config.domain_pages + 16;
+    const auto unbounded = run_model_check(config);
+    ASSERT_FALSE(unbounded.truncated);
+    EXPECT_EQ(unbounded.frontier_spilled_items, 0u);
+    EXPECT_EQ(unbounded.ops_executed, unbounded.ops_applied);
 
-  config.max_frontier_bytes = 16 * 1024;
-  config.spill_dir = own_spill_dir("SpillingPreservesTheReportExactly");
-  const auto spilled = run_model_check(config);
-  EXPECT_TRUE(spill_dir_empty(config.spill_dir));
-  EXPECT_GT(spilled.frontier_spilled_items, 0u);
-  EXPECT_GT(spilled.frontier_spill_reloads, 0u);
-  EXPECT_GT(spilled.frontier_spill_bytes, 0u);
-  EXPECT_EQ(render_report(unbounded), render_report(spilled));
-  EXPECT_EQ(unbounded.states_explored, spilled.states_explored);
-  EXPECT_EQ(unbounded.ops_applied, spilled.ops_applied);
-  EXPECT_EQ(unbounded.shard_occupancy, spilled.shard_occupancy);
-  EXPECT_GE(spilled.ops_executed, spilled.ops_applied);
+    config.max_frontier_bytes = 16 * 1024;
+    config.spill_dir = own_spill_dir("SpillingPreservesTheReportExactly" +
+                                     std::to_string(guests));
+    const auto spilled = run_model_check(config);
+    EXPECT_TRUE(spill_dir_empty(config.spill_dir));
+    EXPECT_GT(spilled.frontier_spilled_items, 0u);
+    EXPECT_GT(spilled.frontier_spill_reloads, 0u);
+    EXPECT_GT(spilled.frontier_spill_bytes, 0u);
+    EXPECT_EQ(render_report(unbounded), render_report(spilled));
+    EXPECT_EQ(unbounded.states_explored, spilled.states_explored);
+    EXPECT_EQ(unbounded.ops_applied, spilled.ops_applied);
+    EXPECT_EQ(unbounded.shard_occupancy, spilled.shard_occupancy);
+    EXPECT_GE(spilled.ops_executed, spilled.ops_applied);
 
-  // Acceptance bound: at a budget that keeps a useful fraction of the
-  // frontier resident (the intended operating point, not the pathological
-  // everything-spills one above), replay reloads stay within 5% of the
-  // real enumeration work.
-  config.max_frontier_bytes = 256 * 1024;
-  const auto bounded = run_model_check(config);
-  EXPECT_GT(bounded.frontier_spilled_items, 0u);
-  EXPECT_EQ(render_report(unbounded), render_report(bounded));
-  EXPECT_GE(bounded.ops_executed, bounded.ops_applied);
-  EXPECT_LE(bounded.ops_executed, bounded.ops_applied * 105 / 100);
+    // Acceptance bound: at a budget that keeps a useful fraction of the
+    // frontier resident (the intended operating point, not the
+    // pathological everything-spills one above), replay reloads stay
+    // within 5% of the real enumeration work.
+    config.max_frontier_bytes = 256 * 1024;
+    const auto bounded = run_model_check(config);
+    EXPECT_GT(bounded.frontier_spilled_items, 0u);
+    EXPECT_EQ(render_report(unbounded), render_report(bounded));
+    EXPECT_GE(bounded.ops_executed, bounded.ops_applied);
+    EXPECT_LE(bounded.ops_executed, bounded.ops_applied * 105 / 100);
+  }
 }
 
 TEST(ModelChecker, BudgetWithoutSpillDirOnlyChunks) {

@@ -1,6 +1,7 @@
 // The coverage-guided hypercall-sequence fuzzer (DESIGN.md §17): trace
 // serialization, replay byte-identity, the delta-debugging minimizer, the
-// guided-vs-blind coverage claim, and the draw helpers' exact streams.
+// guided-vs-blind coverage claim, seeding, outcome accounting, and the draw
+// helpers' exact streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,7 +69,7 @@ std::vector<char> file_bytes(const std::filesystem::path& path) {
 /// One op of every kind, operands chosen to exercise every serialized field.
 std::vector<FuzzOp> all_kinds_trace() {
   std::vector<FuzzOp> ops;
-  for (std::size_t k = 0; k < kFuzzOpKindCount; ++k) {
+  for (std::size_t k = 0; k < hv::kGuestOpKindCount; ++k) {
     FuzzOp op;
     op.kind = static_cast<FuzzOp::Kind>(k);
     op.level = static_cast<std::uint8_t>(1 + k % 4);
@@ -175,6 +176,14 @@ TEST(TraceSerialization, RejectsCorruption) {
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);
   EXPECT_FALSE(deserialize_trace(trailing).has_value());
+  // A header alone that claims 2^20 ops: the count is checked against the
+  // bytes present before anything is reserved for it.
+  std::vector<std::uint8_t> header_only(bytes.begin(), bytes.begin() + 11);
+  header_only[7] = 0;
+  header_only[8] = 0;
+  header_only[9] = 0x10;
+  header_only[10] = 0;
+  EXPECT_FALSE(deserialize_trace(header_only).has_value());
 }
 
 TEST(TraceSerialization, FileRoundTrip) {
@@ -317,6 +326,71 @@ TEST(SequenceFuzzer, GuidedBeatsBlindAtEqualBudget) {
   const SeqFuzzStats g = run_sequence_fuzzer(guided);
   const SeqFuzzStats b = run_sequence_fuzzer(blind);
   EXPECT_GT(g.coverage_points, b.coverage_points);
+}
+
+TEST(SequenceFuzzer, ZeroIterationsIsEmpty) {
+  const SeqFuzzStats stats = run_sequence_fuzzer(small_config(1, 0));
+  EXPECT_EQ(stats.iterations, 0u);
+  EXPECT_TRUE(stats.outcomes.empty());
+  EXPECT_TRUE(stats.survivors.empty());
+  EXPECT_EQ(stats.ops_executed, 0u);
+  EXPECT_EQ(stats.corpus_entries, 0u);
+  EXPECT_EQ(stats.coverage_points, 0u);
+}
+
+/// The stats render without its first line, which names the seed.
+std::string render_after_seed_line(const SeqFuzzStats& stats) {
+  const std::string out = stats.render();
+  return out.substr(out.find('\n') + 1);
+}
+
+TEST(SequenceFuzzer, DifferentSeedsExploreDifferently) {
+  const SeqFuzzStats a = run_sequence_fuzzer(small_config(1, 25));
+  const SeqFuzzStats b = run_sequence_fuzzer(small_config(2, 25));
+  EXPECT_NE(render_after_seed_line(a), render_after_seed_line(b));
+}
+
+TEST(SequenceFuzzer, HighSeedBitsMatter) {
+  // Regression: the old mt19937{seed * 2654435761u + iteration} seeding
+  // truncated the product to 32 bits, so seeds differing only in the high
+  // word drew identical streams.
+  const std::uint64_t low = 9;
+  const std::uint64_t high = low | (1ULL << 32);
+  const SeqFuzzStats a = run_sequence_fuzzer(small_config(low, 25));
+  const SeqFuzzStats b = run_sequence_fuzzer(small_config(high, 25));
+  EXPECT_NE(render_after_seed_line(a), render_after_seed_line(b));
+}
+
+TEST(SequenceFuzzer, RefusedIsItsOwnOutcomeCountedOnce) {
+  // A trace whose every op is refused classifies Refused and nothing else;
+  // one more op that goes through makes it an ordinary trace again.
+  FuzzOp unpin_xen;  // frame 0 is Xen's, never a pinned guest table
+  unpin_xen.kind = FuzzOp::Kind::Unpin;
+  FuzzOp end_unused;  // grant reference 5 was never granted
+  end_unused.kind = FuzzOp::Kind::GrantEndAccess;
+  end_unused.gref = 5;
+  const SeqFuzzConfig config = small_config(1, 0);
+  const std::vector<FuzzOp> refused{unpin_xen, end_unused};
+  const TraceResult result = replay_trace(config, refused);
+  EXPECT_EQ(result.outcome, FuzzOutcome::Refused);
+  EXPECT_EQ(result.ops_executed, 2u);
+  EXPECT_EQ(result.ops_refused, 2u);
+
+  FuzzOp set_v1;
+  set_v1.kind = FuzzOp::Kind::GrantSetVersion;
+  set_v1.version = 1;
+  std::vector<FuzzOp> mixed = refused;
+  mixed.push_back(set_v1);
+  const TraceResult partly = replay_trace(config, mixed);
+  EXPECT_EQ(partly.ops_refused, 2u);
+  EXPECT_NE(partly.outcome, FuzzOutcome::Refused);
+}
+
+TEST(SequenceFuzzer, OutcomeNames) {
+  EXPECT_EQ(to_string(FuzzOutcome::HostCrash), "HOST CRASH");
+  EXPECT_EQ(to_string(FuzzOutcome::NoObservableEffect),
+            "no observable effect");
+  EXPECT_EQ(to_string(FuzzOutcome::Refused), "refused");
 }
 
 TEST(CoverageMapShape, RecordReportsFirstSightingOnly) {

@@ -16,9 +16,10 @@
 // violating state. --threads partitions dedup admission over hash-owned
 // shards (default: hardware concurrency); the report is byte-identical at
 // any count. --max-frontier-mb bounds the resident frontier (deterministic
-// accounting); with --spill-dir set, states past the budget spill to
-// <dir>/frontier.spill and replay back in — reports stay byte-identical
-// with or without spilling, which is what makes depth-4 runs fit in RAM.
+// accounting); with --spill-dir set, states past the budget spill to a
+// file of their own, <dir>/frontier-XXXXXX.spill, and replay back in —
+// reports stay byte-identical with or without spilling, which is what
+// makes depth-4 runs fit in RAM.
 //
 // --expect turns the run into a CI gate:
 //   --expect vulnerable  exit 0 iff at least one XSA class was reached
