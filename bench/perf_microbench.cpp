@@ -388,7 +388,7 @@ void bench_profiler_attached() {
 
 /// Where the sharded checker's wall time actually goes: one profiled
 /// depth-3 run at 4 workers, reported as one BENCH_JSON line per engine
-/// phase (produce / admit / settle / spill, summed over depths). The
+/// phase (produce / admit / settle, summed over depths). The
 /// BENCH_PR5 numbers attributed the old two-pass engine's overhead to its
 /// re-derive pass; this breakdown shows what the single-pass owner-computes
 /// engine spends instead.
@@ -401,11 +401,11 @@ void bench_checker_phase_breakdown() {
   mc.profiler = &prof;
   do_not_optimize(analysis::run_model_check(mc));
 
-  constexpr int kPhases = 4;
-  std::uint64_t wall[kPhases] = {0, 0, 0, 0};
-  std::uint64_t steps[kPhases] = {0, 0, 0, 0};
+  constexpr int kPhases = 3;
+  std::uint64_t wall[kPhases] = {0, 0, 0};
+  std::uint64_t steps[kPhases] = {0, 0, 0};
   static constexpr std::string_view names[kPhases] = {
-      obs::kSpanProduce, obs::kSpanAdmit, obs::kSpanSettle, obs::kSpanSpill};
+      obs::kSpanProduce, obs::kSpanAdmit, obs::kSpanSettle};
   const auto check = prof.root().children.find(obs::kSpanCheck);
   if (check != prof.root().children.end()) {
     for (const auto& [depth_name, depth_node] : check->second->children) {

@@ -585,10 +585,10 @@ namespace {
 
 /// Deterministic byte accounting for one queued frontier state: a pure
 /// function of the item (label bytes, resident frame count, bookkeeping
-/// overrides), never of allocator or scheduling behavior — so chunking and
-/// spill decisions are identical at any thread count, and peak_frontier_bytes
-/// is a cmp-stable statistic. `resident_frames` is the delta dirty count for
-/// the serial queue and the owned-block count for a CoW node.
+/// overrides), never of allocator behavior — so spill decisions are
+/// reproducible and peak_frontier_bytes is a cmp-stable statistic.
+/// `resident_frames` is the delta dirty count for the serial queue and the
+/// owned-block count for a CoW node.
 std::uint64_t frontier_item_cost(const std::vector<Step>& prefix,
                                  std::uint64_t resident_frames,
                                  std::uint64_t page_infos) {
@@ -602,7 +602,7 @@ std::uint64_t frontier_item_cost(const std::vector<Step>& prefix,
 // caller, the shared op record (hv::encode_op) and the label — then the
 // expected state hash (reloads self-verify). Bookkeeping like GrantTable is
 // deliberately not serialized — replay through the public hypercall surface
-// is the only portable encoding of hypervisor-private state (DESIGN.md §16).
+// is the only portable encoding of hypervisor-private state (DESIGN.md §9).
 
 /// Encoded bytes of a step before its label: caller, op record, label size.
 constexpr std::size_t kStepFixedBytes = 4 + hv::kGuestOpRecordBytes + 4;
@@ -625,9 +625,14 @@ std::vector<std::uint8_t> encode_spill_record(const std::vector<Step>& prefix,
   return rec;
 }
 
-/// Append-only frontier spill file. The serial assembly stage is the only
-/// writer (and flushes before workers read); workers reload through their
-/// own read handles, so no stream is ever shared across threads.
+struct SpillRecord {
+  std::vector<Step> prefix;
+  std::uint64_t hash = 0;
+};
+
+/// Append-only frontier spill file with one sequential reader. The serial
+/// BFS pops its spilled stubs in the order it appended their records, so
+/// reloads read the file front to back and never seek.
 ///
 /// The file is created on the first append under a fresh name in the spill
 /// directory (frontier-XXXXXX.spill, made with O_EXCL by mkstemps), so runs
@@ -641,11 +646,12 @@ class SpillFile {
   ~SpillFile() {
     if (path_.empty()) return;
     out_.close();
+    in_.close();
     std::remove(path_.c_str());
   }
 
-  /// Serialize one spilled state; returns its byte offset in the file.
-  std::uint64_t append(const std::vector<Step>& prefix, std::uint64_t hash) {
+  /// Serialize one spilled state behind the ones already appended.
+  void append(const std::vector<Step>& prefix, std::uint64_t hash) {
     if (path_.empty()) create();
     const std::vector<std::uint8_t> rec = encode_spill_record(prefix, hash);
     out_.write(reinterpret_cast<const char*>(rec.data()),
@@ -653,15 +659,13 @@ class SpillFile {
     if (!out_) {
       throw std::runtime_error{"model checker: spill write failed: " + path_};
     }
-    const std::uint64_t offset = bytes_;
     bytes_ += rec.size();
-    return offset;
   }
-  void flush() {
-    if (out_.is_open()) out_.flush();
-  }
+
+  /// The oldest record not read yet.
+  SpillRecord read_next();
+
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   void create() {
@@ -683,29 +687,26 @@ class SpillFile {
   std::string dir_;
   std::string path_;  ///< empty until the first append
   std::ofstream out_;
+  std::ifstream in_;  ///< opened by the first read
   std::uint64_t bytes_ = 0;
 };
 
-struct SpillRecord {
-  std::vector<Step> prefix;
-  std::uint64_t hash = 0;
-};
-
-SpillRecord read_spill_record(std::ifstream& in, const std::string& path,
-                              std::uint64_t offset) {
-  if (!in.is_open()) {
-    in.open(path, std::ios::binary);
-    if (!in) {
+SpillRecord SpillFile::read_next() {
+  // The record may still sit in the write buffer.
+  if (!out_.flush()) {
+    throw std::runtime_error{"model checker: spill write failed: " + path_};
+  }
+  if (!in_.is_open()) {
+    in_.open(path_, std::ios::binary);
+    if (!in_) {
       throw std::runtime_error{"model checker: cannot open spill file " +
-                               path};
+                               path_};
     }
   }
-  in.clear();  // a prior read may have left eof set
-  in.seekg(static_cast<std::streamoff>(offset));
   const auto read_bytes = [&](std::size_t n) {
     std::vector<std::uint8_t> buf(n);
-    if (!in.read(reinterpret_cast<char*>(buf.data()),
-                 static_cast<std::streamsize>(n))) {
+    if (!in_.read(reinterpret_cast<char*>(buf.data()),
+                  static_cast<std::streamsize>(n))) {
       throw std::runtime_error{"model checker: truncated spill record"};
     }
     return buf;
@@ -807,13 +808,22 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   // one delta-restore (O(dirty frames)) instead of restore-root-and-replay
   // (O(machine) + prefix re-execution). The replay fallback preserves the
   // old scheme; both must produce identical results.
+  //
+  // Resident items are bounded by max_frontier_bytes of frontier_item_cost:
+  // a state that would push the resident total past the budget is queued
+  // as a stub instead, its prefix and hash appended to the spill file.
+  // Stubs pop in append order, and popping one replays its prefix from the
+  // root — replay is the portable encoding of a state.
   struct WorkItem {
     std::vector<Step> prefix;
     hv::HvDelta delta;  ///< state vs root (unused by the replay fallback)
-    std::uint64_t cost = 0;  ///< frontier_item_cost at admission
+    std::uint64_t cost = 0;  ///< frontier_item_cost; 0 for a stub
+    bool spilled = false;    ///< a stub: prefix and hash are in the spill
   };
+  SpillFile spill{config.spill_dir};
+  std::uint64_t replayed_ops = 0;
   std::deque<WorkItem> queue;
-  queue.push_back(WorkItem{{}, vmm.snapshot_delta(root), 0});
+  queue.push_back(WorkItem{{}, vmm.snapshot_delta(root), 0, false});
   queue.back().cost = frontier_item_cost(queue.back().prefix,
                                          queue.back().delta.mem_frames.size(),
                                          queue.back().delta.frames.size());
@@ -823,19 +833,43 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   obs::SpanProfiler* const prof = config.profiler;
   bool stop = false;
   while (!queue.empty() && !stop) {
-    const WorkItem item = std::move(queue.front());
+    WorkItem item = std::move(queue.front());
     queue.pop_front();
     frontier_bytes -= item.cost;
-    if (item.prefix.size() >= config.depth) continue;
+    std::uint64_t spilled_hash = 0;
+    if (item.spilled) {
+      SpillRecord rec = spill.read_next();
+      item.prefix = std::move(rec.prefix);
+      spilled_hash = rec.hash;
+    }
+    if (item.prefix.size() >= config.depth) continue;  // a depth-0 root
     // Depth of the states this parent generates ("d1" = first op applied).
     const unsigned depth = static_cast<unsigned>(item.prefix.size()) + 1;
+    const std::string dname =
+        prof != nullptr ? "d" + std::to_string(depth) : std::string{};
     if (config.status != nullptr) {
       config.status->checker_depth(depth, queue.size() + 1);
       config.status->checker_progress(result.states_explored,
                                       result.violations_found);
     }
 
-    hv::HvDelta parent_delta;
+    if (item.spilled) {
+      // Reload: rewind to the root, replay the recorded prefix, check it
+      // lands on the recorded state, and capture the delta again.
+      const obs::ScopedSpan reload_span{
+          prof, {obs::kSpanCheck, dname, obs::kSpanSpill}, obs::SpanKind::Sched};
+      (void)vmm.restore_delta(root);
+      for (const Step& step : item.prefix) {
+        (void)hv::apply_guest_op(vmm, step.caller, step.op);
+      }
+      replayed_ops += item.prefix.size();
+      ++result.frontier_spill_reloads;
+      if (vmm.state_hash() != spilled_hash) {
+        throw std::logic_error{
+            "model checker: spill replay diverged from its capture"};
+      }
+      item.delta = vmm.snapshot_delta(root);
+    }
     hv::HvSnapshot parent_full;  // replay fallback only
     if (config.use_replay_fallback) {
       vmm.restore(root);
@@ -843,11 +877,11 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
         (void)hv::apply_guest_op(vmm, step.caller, step.op);
       }
       parent_full = vmm.snapshot();
-      parent_delta = vmm.snapshot_delta(root);
-    } else {
+      item.delta = vmm.snapshot_delta(root);
+    } else if (!item.spilled) {
       (void)vmm.restore_delta(root, item.delta);
-      parent_delta = item.delta;
     }
+    const hv::HvDelta& parent_delta = item.delta;
     const std::uint64_t parent_hash = parent_delta.hash;
     const auto restore_parent = [&] {
       if (config.use_replay_fallback) {
@@ -887,17 +921,29 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
         // BFS order, and exploring beyond a broken invariant only yields
         // derivative noise.
         record_violation(parent_delta, trace, h, walk, std::move(report));
-      } else {
+      } else if (depth < config.depth) {
+        // A clean state at the depth bound is never expanded, so it is
+        // audited above but never captured or queued.
         WorkItem child{std::move(trace),
                        config.use_replay_fallback ? hv::HvDelta{}
                                                   : vmm.snapshot_delta(root),
-                       0};
+                       0, false};
         child.cost = frontier_item_cost(child.prefix,
                                         child.delta.mem_frames.size(),
                                         child.delta.frames.size());
-        frontier_bytes += child.cost;
-        result.peak_frontier_bytes =
-            std::max(result.peak_frontier_bytes, frontier_bytes);
+        if (config.max_frontier_bytes != 0 &&
+            frontier_bytes + child.cost > config.max_frontier_bytes) {
+          const obs::ScopedSpan spill_span{
+              prof, {obs::kSpanCheck, dname, obs::kSpanSpill},
+              obs::SpanKind::Sched};
+          spill.append(child.prefix, h);
+          ++result.frontier_spilled_items;
+          child = WorkItem{{}, {}, 0, true};
+        } else {
+          frontier_bytes += child.cost;
+          result.peak_frontier_bytes =
+              std::max(result.peak_frontier_bytes, frontier_bytes);
+        }
         queue.push_back(std::move(child));
       }
       if (result.states_explored >= config.max_states) {
@@ -908,7 +954,6 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
       restore_parent();
     }
     if (prof != nullptr && parent_applied != 0) {
-      const std::string dname = "d" + std::to_string(depth);
       prof->add({obs::kSpanCheck, dname, obs::kSpanExpand}, 1, parent_applied);
       if (parent_audited != 0) {
         prof->add({obs::kSpanCheck, dname, obs::kSpanAudit}, parent_audited,
@@ -925,7 +970,8 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   result.cow_captures = stats.cow_captures;
   result.cow_frames_copied = stats.cow_frames_copied;
   result.cow_frames_shared = stats.cow_frames_shared;
-  result.ops_executed = result.ops_applied;
+  result.ops_executed = result.ops_applied + replayed_ops;
+  result.frontier_spill_bytes = spill.bytes_written();
   result.shard_occupancy = visited.occupancy();
   return result;
 }
@@ -933,20 +979,18 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
 // ------------------------------------------ single-pass owner-computes engine
 //
 // Ownership-partitioned exploration (DESIGN.md §16). The BFS frontier of
-// one depth (or one budget-sized chunk of it) runs in a single expansion
-// pass — every operation is applied exactly once, the serial engine's op
-// count — followed by a parallel owner-shard admission and a parallel
-// audit of the admitted states:
+// one depth runs in a single expansion pass — every operation is applied
+// exactly once, the serial engine's op count — followed by a parallel
+// owner-shard admission and a parallel audit of the admitted states:
 //
 //   produce (parallel)  workers pull parents from an atomic cursor, restore
-//                       them (CoW restore, or replay for spilled parents),
-//                       apply the whole alphabet, and record a per-parent
-//                       op-outcome byte (unchanged-ok / unchanged-failed /
-//                       changed). Each changed successor not already in the
-//                       frozen pre-chunk visited set is speculatively
-//                       captured as a CoW forest node and posted to
-//                       inbox[shard][worker] — the single-writer cell of
-//                       the shard that owns its hash.
+//                       their CoW nodes, apply the whole alphabet, and
+//                       record a per-parent op-outcome byte (unchanged-ok /
+//                       unchanged-failed / changed). Each changed successor
+//                       not already in the frozen pre-depth visited set is
+//                       speculatively captured as a CoW forest node and
+//                       posted to inbox[shard][worker] — the single-writer
+//                       cell of the shard that owns its hash.
 //   admit  (parallel)   after the barrier each worker walks the shards it
 //                       owns (shard % threads == worker). The owner alone
 //                       decides admission: candidates sort by (hash,
@@ -960,7 +1004,10 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
 //                       re-application — and walked/audited/classified.
 //                       A serial assembly then emits violations,
 //                       counterexamples and the next frontier in claim
-//                       order, spilling states past the frontier budget.
+//                       order.
+//
+// The whole frontier stays in memory: a run with a frontier budget goes to
+// the serial BFS, which owns the spillable frontier.
 //
 // Determinism rests on: admission is a pure function of the candidate set
 // (owner order can't matter — candidates carry their serial coordinates);
@@ -972,8 +1019,8 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
 // committed set — and shard_occupancy — never depends on --threads.
 
 /// One worker's private machine and root. All roots must hash identically
-/// (asserted at construction time by the driver) — that is what makes one
-/// worker's HvDelta meaningful on another worker's machine.
+/// (checked when the workers are built) — that is what makes a CoW node
+/// captured on one worker's machine restorable on another's.
 struct ShardWorker {
   Machine machine;
   hv::HvSnapshot root;
@@ -985,21 +1032,18 @@ struct ShardWorker {
 };
 
 /// A queued state of the sharded engine: its op prefix and its CoW forest
-/// node. A spilled item drops both and keeps only its spill-file offset
-/// (plus its admission-time cost, which still drives chunking); reloads
-/// re-derive the state by replaying the serialized prefix from the root.
+/// node.
 struct CowFrontierItem {
   std::vector<Step> prefix;
   hv::HvCowState cow;
   std::uint64_t hash = 0;
   std::uint64_t cost = 0;  ///< frontier_item_cost at admission
-  bool spilled = false;
-  std::uint64_t spill_offset = 0;
 };
 
 /// A speculatively captured successor, posted by its producing worker to
-/// the owning shard's inbox. Carries its serial coordinates (chunk-local
-/// parent index, alphabet index) so admission order is scheduling-free.
+/// the owning shard's inbox. Carries its serial coordinates (frontier
+/// index of the parent, alphabet index) so admission order is
+/// scheduling-free.
 struct Candidate {
   std::uint32_t parent = 0;
   std::uint32_t op = 0;
@@ -1103,11 +1147,6 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   const std::size_t n_shards = visited.shard_count();
   visited.owner_insert(visited.shard_of(root.hash), root.hash);
 
-  SpillFile spill{config.spill_dir};
-  const std::uint64_t budget = config.max_frontier_bytes;
-  const bool can_spill = !config.spill_dir.empty() && budget != 0;
-  std::vector<std::ifstream> spill_readers(threads);
-
   std::vector<CowFrontierItem> frontier;
   {
     CowFrontierItem root_item;
@@ -1122,7 +1161,6 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   // Per-worker scheduling-dependent tallies, folded after the run. Their
   // sums are deterministic (which worker did the work is not).
   std::vector<std::uint64_t> ops_executed_w(threads, 0);
-  std::vector<std::uint64_t> spill_reloads_w(threads, 0);
 
   // Per-worker profilers (shared epoch, worker-numbered lanes) hold the
   // Sched-kind engine spans each worker records for itself; they merge
@@ -1149,325 +1187,245 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
       config.status->checker_progress(result.states_explored,
                                       result.violations_found);
     }
+    const std::size_t n_parents = frontier.size();
 
+    // ---- produce: apply every op of every parent exactly once.
+    std::vector<std::vector<std::uint8_t>> op_outcome(n_parents);
+    // inbox[shard][producer]: each producer appends only to its own cell,
+    // each cell is read only after the barrier — race-free by layout, no
+    // locks.
+    std::vector<std::vector<std::vector<Candidate>>> inbox(
+        n_shards, std::vector<std::vector<Candidate>>(threads));
+    std::atomic<std::size_t> next_parent{0};
+    obs::ScopedSpan produce_span{prof,
+                                 {obs::kSpanCheck, dname, obs::kSpanProduce},
+                                 obs::SpanKind::Sched};
+    run_on_workers(threads, [&](unsigned w) {
+      ShardWorker& self = *workers[w];
+      hv::Hypervisor& vmm = self.machine.vmm;
+      obs::ScopedSpan lane{
+          prof != nullptr ? wprofs[w].get() : nullptr,
+          {obs::kSpanCheck, dname, obs::kSpanProduce, "w" + std::to_string(w)},
+          obs::SpanKind::Sched};
+      while (true) {
+        const std::size_t idx = next_parent.fetch_add(1);
+        if (idx >= n_parents) return;
+        const CowFrontierItem& item = frontier[idx];
+        (void)vmm.restore_cow(self.root, item.cow);
+        // The capture marker is re-taken after every restore: restores
+        // stamp fresh generations, so "written after the marker" is
+        // exactly "diverged from the restored parent".
+        std::uint64_t marker = vmm.memory().generation();
+        const std::vector<Step> alphabet =
+            enumerate_ops(vmm, config, self.machine.guests);
+        lane.add_steps(alphabet.size());
+        ops_executed_w[w] += alphabet.size();
+        std::vector<std::uint8_t>& outcome = op_outcome[idx];
+        outcome.assign(alphabet.size(), kOpUnchangedOk);
+        for (std::uint32_t o = 0; o < alphabet.size(); ++o) {
+          const long rc =
+              hv::apply_guest_op(vmm, alphabet[o].caller, alphabet[o].op);
+          const std::uint64_t h = vmm.state_hash();
+          if (h == item.hash) {
+            if (rc != hv::kOk) outcome[o] = kOpUnchangedFailed;
+            continue;  // nothing changed; nothing to restore
+          }
+          outcome[o] = kOpChanged;
+          // Probe the frozen pre-depth set: a hash committed at an earlier
+          // depth can never be admitted, so skip its capture. Same-depth
+          // collisions are the owner's call.
+          if (!visited.probe(h)) {
+            Candidate c;
+            c.parent = static_cast<std::uint32_t>(idx);
+            c.op = o;
+            c.hash = h;
+            c.step = alphabet[o];
+            c.cow = vmm.snapshot_cow(self.root, &item.cow, marker);
+            inbox[visited.shard_of(h)][w].push_back(std::move(c));
+          }
+          (void)vmm.restore_cow(self.root, item.cow);
+          marker = vmm.memory().generation();
+        }
+      }
+    });
+    produce_span.end();
+
+    // ---- admit: each owner decides its shards, no cross-shard state.
+    std::vector<std::vector<Candidate>> admitted(n_shards);
+    obs::ScopedSpan admit_span{prof,
+                               {obs::kSpanCheck, dname, obs::kSpanAdmit},
+                               obs::SpanKind::Sched};
+    run_on_workers(threads, [&](unsigned w) {
+      obs::ScopedSpan lane{
+          prof != nullptr ? wprofs[w].get() : nullptr,
+          {obs::kSpanCheck, dname, obs::kSpanAdmit, "w" + std::to_string(w)},
+          obs::SpanKind::Sched};
+      for (std::size_t s = w; s < n_shards; s += threads) {
+        std::size_t total = 0;
+        for (unsigned pw = 0; pw < threads; ++pw) {
+          total += inbox[s][pw].size();
+        }
+        if (total == 0) continue;
+        lane.add_steps(total);
+        std::vector<Candidate> cands;
+        cands.reserve(total);
+        for (unsigned pw = 0; pw < threads; ++pw) {
+          for (Candidate& c : inbox[s][pw]) cands.push_back(std::move(c));
+        }
+        std::sort(cands.begin(), cands.end(),
+                  [](const Candidate& a, const Candidate& b) {
+                    if (a.hash != b.hash) return a.hash < b.hash;
+                    if (a.parent != b.parent) return a.parent < b.parent;
+                    return a.op < b.op;
+                  });
+        for (std::size_t i = 0; i < cands.size();) {
+          std::size_t j = i;
+          while (j < cands.size() && cands[j].hash == cands[i].hash) ++j;
+          // The owner alone admits: the first (parent, op) pair of a new
+          // hash is the pair the serial BFS encounters first.
+          if (visited.owner_insert(s, cands[i].hash)) {
+            admitted[s].push_back(std::move(cands[i]));
+          }
+          i = j;
+        }
+      }
+    });
+    admit_span.end();
+
+    // ---- assembly 1 (serial): serial claim order, truncation cut,
+    // counters and the deterministic expand/audit spans.
+    std::vector<Candidate> claims;
+    {
+      std::size_t total = 0;
+      for (std::size_t s = 0; s < n_shards; ++s) total += admitted[s].size();
+      claims.reserve(total);
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        for (Candidate& c : admitted[s]) claims.push_back(std::move(c));
+      }
+    }
+    std::sort(claims.begin(), claims.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.parent != b.parent ? a.parent < b.parent
+                                            : a.op < b.op;
+              });
+    // The serial BFS stops right after the admission that reaches
+    // max_states; later pairs were never executed there and must not be
+    // counted, audited or queued here. (Hashes past the cut stay in the
+    // visited set — visible only through shard_occupancy on truncated
+    // runs, never in the report.)
+    const std::uint64_t allowed = config.max_states - result.states_explored;
+    if (claims.size() >= allowed) {
+      claims.resize(static_cast<std::size_t>(allowed));
+      result.truncated = true;
+      stop = true;
+    }
+    const std::uint32_t cut_parent = stop ? claims.back().parent : 0;
+    const std::uint32_t cut_op = stop ? claims.back().op : 0;
+    std::vector<std::uint64_t> audited(n_parents, 0);
+    for (const Candidate& c : claims) ++audited[c.parent];
+    std::uint64_t changed_total = 0;
+    for (std::size_t idx = 0; idx < n_parents; ++idx) {
+      if (stop && idx > cut_parent) break;
+      const std::vector<std::uint8_t>& outcome = op_outcome[idx];
+      const std::size_t n_ops = stop && idx == cut_parent
+                                    ? std::size_t{cut_op} + 1
+                                    : outcome.size();
+      for (std::size_t o = 0; o < n_ops; ++o) {
+        if (outcome[o] == kOpUnchangedFailed) ++result.failed_ops;
+        if (outcome[o] == kOpChanged) ++changed_total;
+      }
+      result.ops_applied += n_ops;
+      if (prof != nullptr && n_ops != 0) {
+        prof->add({obs::kSpanCheck, dname, obs::kSpanExpand}, 1, n_ops);
+        if (audited[idx] != 0) {
+          prof->add({obs::kSpanCheck, dname, obs::kSpanAudit}, audited[idx],
+                    audited[idx]);
+        }
+      }
+    }
+    result.states_explored += claims.size();
+    result.states_deduped += changed_total - claims.size();
+
+    // ---- settle: audit the admitted states from their captures — the
+    // single-pass payoff: no op is ever applied a second time.
+    std::vector<Settled> settled(claims.size());
+    std::atomic<std::size_t> next_claim{0};
+    obs::ScopedSpan settle_span{prof,
+                                {obs::kSpanCheck, dname, obs::kSpanSettle},
+                                obs::SpanKind::Sched};
+    run_on_workers(threads, [&](unsigned w) {
+      ShardWorker& self = *workers[w];
+      hv::Hypervisor& vmm = self.machine.vmm;
+      obs::ScopedSpan lane{
+          prof != nullptr ? wprofs[w].get() : nullptr,
+          {obs::kSpanCheck, dname, obs::kSpanSettle, "w" + std::to_string(w)},
+          obs::SpanKind::Sched};
+      while (true) {
+        const std::size_t i = next_claim.fetch_add(1);
+        if (i >= claims.size()) return;
+        lane.add_steps(1);
+        const Candidate& c = claims[i];
+        (void)vmm.restore_cow(self.root, c.cow);
+        if (vmm.state_hash() != c.hash) {
+          throw std::logic_error{
+              "model checker: settled state diverged from its capture"};
+        }
+        const hv::SystemWalk walk = hv::walk_system(vmm);
+        hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
+        if (report.clean()) continue;
+        Settled& s = settled[i];
+        s.violating = true;
+        s.violated = report.violated_set();
+        s.classes = classify_erroneous_state(vmm, walk, report);
+        s.state_diff = diff_states(StateView{self.root, frontier[c.parent].cow},
+                                   StateView{self.root, c.cow});
+        s.report = std::move(report);
+      }
+    });
+    settle_span.end();
+
+    // ---- assembly 2 (serial): violations and the next frontier, in claim
+    // order. Clean states at the depth bound are never expanded, so they
+    // are not queued.
     std::vector<CowFrontierItem> next_frontier;
     std::uint64_t next_resident = 0;
-
-    const std::size_t n_parents = frontier.size();
-    std::size_t chunk_begin = 0;
-    while (chunk_begin < n_parents && !stop) {
-      // ---- chunk boundary: fill up to the frontier budget, min one
-      // parent. Chunk edges respect serial parent order, so per-chunk
-      // admission commits are exactly the serial prefix of the depth.
-      std::size_t chunk_end = n_parents;
-      if (budget != 0) {
-        chunk_end = chunk_begin + 1;
-        std::uint64_t chunk_bytes = frontier[chunk_begin].cost;
-        while (chunk_end < n_parents &&
-               chunk_bytes + frontier[chunk_end].cost <= budget) {
-          chunk_bytes += frontier[chunk_end].cost;
-          ++chunk_end;
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      Candidate& c = claims[i];
+      std::vector<Step> trace = frontier[c.parent].prefix;
+      trace.push_back(std::move(c.step));
+      Settled& s = settled[i];
+      if (s.violating) {
+        ++result.violations_found;
+        for (const hv::Invariant inv : s.violated) {
+          ++result.invariant_hits[static_cast<std::size_t>(inv)];
         }
+        for (const ErroneousStateClass cls : s.classes) {
+          ++result.class_hits[static_cast<std::size_t>(cls)];
+        }
+        if (result.counterexamples.size() < config.max_counterexamples) {
+          Counterexample cx;
+          cx.steps = std::move(trace);
+          cx.depth = static_cast<unsigned>(cx.steps.size());
+          cx.state_hash = c.hash;
+          cx.violated = std::move(s.violated);
+          cx.classes = std::move(s.classes);
+          cx.state_diff = std::move(s.state_diff);
+          cx.report = std::move(s.report);
+          result.counterexamples.push_back(std::move(cx));
+        }
+      } else if (!stop && depth < config.depth) {
+        CowFrontierItem child;
+        child.hash = c.hash;
+        child.cost = frontier_item_cost(trace, c.cow.owned_frames,
+                                        c.cow.frames.size());
+        child.prefix = std::move(trace);
+        child.cow = std::move(c.cow);
+        next_resident += child.cost;
+        next_frontier.push_back(std::move(child));
       }
-      const std::size_t chunk_n = chunk_end - chunk_begin;
-
-      // ---- produce: apply every op of every chunk parent exactly once.
-      std::vector<const hv::HvCowState*> parent_cow(chunk_n, nullptr);
-      std::vector<const std::vector<Step>*> parent_prefix(chunk_n, nullptr);
-      std::vector<hv::HvCowState> reloaded_cow(chunk_n);
-      std::vector<std::vector<Step>> reloaded_prefix(chunk_n);
-      std::vector<std::vector<std::uint8_t>> op_outcome(chunk_n);
-      // inbox[shard][producer]: each producer appends only to its own
-      // cell, each cell is read only after the barrier — race-free by
-      // layout, no locks.
-      std::vector<std::vector<std::vector<Candidate>>> inbox(
-          n_shards, std::vector<std::vector<Candidate>>(threads));
-      std::atomic<std::size_t> next_parent{0};
-      obs::ScopedSpan produce_span{prof,
-                                   {obs::kSpanCheck, dname, obs::kSpanProduce},
-                                   obs::SpanKind::Sched};
-      run_on_workers(threads, [&](unsigned w) {
-        ShardWorker& self = *workers[w];
-        hv::Hypervisor& vmm = self.machine.vmm;
-        obs::ScopedSpan lane{
-            prof != nullptr ? wprofs[w].get() : nullptr,
-            {obs::kSpanCheck, dname, obs::kSpanProduce,
-             "w" + std::to_string(w)},
-            obs::SpanKind::Sched};
-        while (true) {
-          const std::size_t idx = next_parent.fetch_add(1);
-          if (idx >= chunk_n) return;
-          const CowFrontierItem& item = frontier[chunk_begin + idx];
-          if (item.spilled) {
-            // Reload: rewind to the root, replay the serialized prefix,
-            // verify the expected hash, re-capture as a parentless node.
-            (void)vmm.restore_delta(self.root);
-            const std::uint64_t replay_marker = vmm.memory().generation();
-            SpillRecord rec = read_spill_record(spill_readers[w], spill.path(),
-                                                item.spill_offset);
-            for (const Step& step : rec.prefix) {
-              (void)hv::apply_guest_op(vmm, step.caller, step.op);
-            }
-            ops_executed_w[w] += rec.prefix.size();
-            ++spill_reloads_w[w];
-            if (vmm.state_hash() != rec.hash) {
-              throw std::logic_error{
-                  "model checker: spill replay diverged from its capture"};
-            }
-            reloaded_cow[idx] =
-                vmm.snapshot_cow(self.root, nullptr, replay_marker);
-            reloaded_prefix[idx] = std::move(rec.prefix);
-            parent_cow[idx] = &reloaded_cow[idx];
-            parent_prefix[idx] = &reloaded_prefix[idx];
-          } else {
-            parent_cow[idx] = &item.cow;
-            parent_prefix[idx] = &item.prefix;
-            (void)vmm.restore_cow(self.root, item.cow);
-          }
-          const std::uint64_t parent_hash = item.hash;
-          // The capture marker is re-taken after every restore: restores
-          // stamp fresh generations, so "written after the marker" is
-          // exactly "diverged from the restored parent".
-          std::uint64_t marker = vmm.memory().generation();
-          const std::vector<Step> alphabet =
-              enumerate_ops(vmm, config, self.machine.guests);
-          lane.add_steps(alphabet.size());
-          ops_executed_w[w] += alphabet.size();
-          std::vector<std::uint8_t>& outcome = op_outcome[idx];
-          outcome.assign(alphabet.size(), kOpUnchangedOk);
-          for (std::uint32_t o = 0; o < alphabet.size(); ++o) {
-            const long rc = hv::apply_guest_op(vmm, alphabet[o].caller,
-                                               alphabet[o].op);
-            const std::uint64_t h = vmm.state_hash();
-            if (h == parent_hash) {
-              if (rc != hv::kOk) outcome[o] = kOpUnchangedFailed;
-              continue;  // nothing changed; nothing to restore
-            }
-            outcome[o] = kOpChanged;
-            // Probe the frozen pre-chunk set: a hash committed at an
-            // earlier depth or chunk can never be admitted, so skip its
-            // capture. Same-chunk collisions are the owner's call.
-            if (!visited.probe(h)) {
-              Candidate c;
-              c.parent = static_cast<std::uint32_t>(idx);
-              c.op = o;
-              c.hash = h;
-              c.step = alphabet[o];
-              c.cow = vmm.snapshot_cow(self.root, parent_cow[idx], marker);
-              inbox[visited.shard_of(h)][w].push_back(std::move(c));
-            }
-            (void)vmm.restore_cow(self.root, *parent_cow[idx]);
-            marker = vmm.memory().generation();
-          }
-        }
-      });
-      produce_span.end();
-
-      // ---- admit: each owner decides its shards, no cross-shard state.
-      std::vector<std::vector<Candidate>> admitted(n_shards);
-      obs::ScopedSpan admit_span{prof,
-                                 {obs::kSpanCheck, dname, obs::kSpanAdmit},
-                                 obs::SpanKind::Sched};
-      run_on_workers(threads, [&](unsigned w) {
-        obs::ScopedSpan lane{
-            prof != nullptr ? wprofs[w].get() : nullptr,
-            {obs::kSpanCheck, dname, obs::kSpanAdmit, "w" + std::to_string(w)},
-            obs::SpanKind::Sched};
-        for (std::size_t s = w; s < n_shards; s += threads) {
-          std::size_t total = 0;
-          for (unsigned pw = 0; pw < threads; ++pw) {
-            total += inbox[s][pw].size();
-          }
-          if (total == 0) continue;
-          lane.add_steps(total);
-          std::vector<Candidate> cands;
-          cands.reserve(total);
-          for (unsigned pw = 0; pw < threads; ++pw) {
-            for (Candidate& c : inbox[s][pw]) cands.push_back(std::move(c));
-          }
-          std::sort(cands.begin(), cands.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                      if (a.hash != b.hash) return a.hash < b.hash;
-                      if (a.parent != b.parent) return a.parent < b.parent;
-                      return a.op < b.op;
-                    });
-          for (std::size_t i = 0; i < cands.size();) {
-            std::size_t j = i;
-            while (j < cands.size() && cands[j].hash == cands[i].hash) ++j;
-            // The owner alone admits: the first (parent, op) pair of a
-            // new hash is the pair the serial BFS encounters first.
-            if (visited.owner_insert(s, cands[i].hash)) {
-              admitted[s].push_back(std::move(cands[i]));
-            }
-            i = j;
-          }
-        }
-      });
-      admit_span.end();
-
-      // ---- assembly 1 (serial): serial claim order, truncation cut,
-      // counters and the deterministic expand/audit spans.
-      std::vector<Candidate> claims;
-      {
-        std::size_t total = 0;
-        for (std::size_t s = 0; s < n_shards; ++s) total += admitted[s].size();
-        claims.reserve(total);
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          for (Candidate& c : admitted[s]) claims.push_back(std::move(c));
-        }
-      }
-      std::sort(claims.begin(), claims.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.parent != b.parent ? a.parent < b.parent
-                                              : a.op < b.op;
-                });
-      // The serial BFS stops right after the admission that reaches
-      // max_states; later pairs were never executed there and must not be
-      // counted, audited or queued here. (Hashes past the cut stay in the
-      // visited set — visible only through shard_occupancy on truncated
-      // runs, never in the report.)
-      const std::uint64_t allowed = config.max_states - result.states_explored;
-      if (claims.size() >= allowed) {
-        claims.resize(static_cast<std::size_t>(allowed));
-        result.truncated = true;
-        stop = true;
-      }
-      const bool cut = stop;
-      const std::uint32_t cut_parent = cut ? claims.back().parent : 0;
-      const std::uint32_t cut_op = cut ? claims.back().op : 0;
-      std::vector<std::uint64_t> audited(chunk_n, 0);
-      for (const Candidate& c : claims) ++audited[c.parent];
-      std::uint64_t changed_total = 0;
-      for (std::size_t idx = 0; idx < chunk_n; ++idx) {
-        if (cut && idx > cut_parent) break;
-        const std::vector<std::uint8_t>& outcome = op_outcome[idx];
-        const std::size_t n_ops = cut && idx == cut_parent
-                                      ? std::size_t{cut_op} + 1
-                                      : outcome.size();
-        for (std::size_t o = 0; o < n_ops; ++o) {
-          if (outcome[o] == kOpUnchangedFailed) ++result.failed_ops;
-          if (outcome[o] == kOpChanged) ++changed_total;
-        }
-        result.ops_applied += n_ops;
-        if (prof != nullptr && n_ops != 0) {
-          prof->add({obs::kSpanCheck, dname, obs::kSpanExpand}, 1, n_ops);
-          if (audited[idx] != 0) {
-            prof->add({obs::kSpanCheck, dname, obs::kSpanAudit}, audited[idx],
-                      audited[idx]);
-          }
-        }
-      }
-      result.states_explored += claims.size();
-      result.states_deduped += changed_total - claims.size();
-
-      // ---- settle: audit the admitted states from their captures — the
-      // single-pass payoff: no op is ever applied a second time.
-      std::vector<Settled> settled(claims.size());
-      std::atomic<std::size_t> next_claim{0};
-      obs::ScopedSpan settle_span{prof,
-                                  {obs::kSpanCheck, dname, obs::kSpanSettle},
-                                  obs::SpanKind::Sched};
-      run_on_workers(threads, [&](unsigned w) {
-        ShardWorker& self = *workers[w];
-        hv::Hypervisor& vmm = self.machine.vmm;
-        obs::ScopedSpan lane{
-            prof != nullptr ? wprofs[w].get() : nullptr,
-            {obs::kSpanCheck, dname, obs::kSpanSettle,
-             "w" + std::to_string(w)},
-            obs::SpanKind::Sched};
-        while (true) {
-          const std::size_t i = next_claim.fetch_add(1);
-          if (i >= claims.size()) return;
-          lane.add_steps(1);
-          const Candidate& c = claims[i];
-          (void)vmm.restore_cow(self.root, c.cow);
-          if (vmm.state_hash() != c.hash) {
-            throw std::logic_error{
-                "model checker: settled state diverged from its capture"};
-          }
-          const hv::SystemWalk walk = hv::walk_system(vmm);
-          hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
-          if (report.clean()) continue;
-          Settled& s = settled[i];
-          s.violating = true;
-          s.violated = report.violated_set();
-          s.classes = classify_erroneous_state(vmm, walk, report);
-          s.state_diff =
-              diff_states(StateView{self.root, *parent_cow[c.parent]},
-                          StateView{self.root, c.cow});
-          s.report = std::move(report);
-        }
-      });
-      settle_span.end();
-
-      // ---- assembly 2 (serial): violations and the next frontier, in
-      // claim order; states past the frontier budget spill to disk.
-      std::unique_ptr<obs::ScopedSpan> spill_span;
-      for (std::size_t i = 0; i < claims.size(); ++i) {
-        Candidate& c = claims[i];
-        std::vector<Step> trace = *parent_prefix[c.parent];
-        trace.push_back(std::move(c.step));
-        Settled& s = settled[i];
-        if (s.violating) {
-          ++result.violations_found;
-          for (const hv::Invariant inv : s.violated) {
-            ++result.invariant_hits[static_cast<std::size_t>(inv)];
-          }
-          for (const ErroneousStateClass cls : s.classes) {
-            ++result.class_hits[static_cast<std::size_t>(cls)];
-          }
-          if (result.counterexamples.size() < config.max_counterexamples) {
-            Counterexample cx;
-            cx.steps = std::move(trace);
-            cx.depth = static_cast<unsigned>(cx.steps.size());
-            cx.state_hash = c.hash;
-            cx.violated = std::move(s.violated);
-            cx.classes = std::move(s.classes);
-            cx.state_diff = std::move(s.state_diff);
-            cx.report = std::move(s.report);
-            result.counterexamples.push_back(std::move(cx));
-          }
-        } else if (!stop) {
-          CowFrontierItem child;
-          child.hash = c.hash;
-          child.cost = frontier_item_cost(trace, c.cow.owned_frames,
-                                          c.cow.frames.size());
-          if (can_spill && next_resident + child.cost > budget) {
-            if (spill_span == nullptr) {
-              spill_span = std::make_unique<obs::ScopedSpan>(
-                  prof,
-                  std::initializer_list<std::string_view>{
-                      obs::kSpanCheck, dname, obs::kSpanSpill},
-                  obs::SpanKind::Sched);
-            }
-            child.spilled = true;
-            child.spill_offset = spill.append(trace, c.hash);
-            ++result.frontier_spilled_items;
-          } else {
-            child.prefix = std::move(trace);
-            child.cow = std::move(c.cow);
-            next_resident += child.cost;
-          }
-          next_frontier.push_back(std::move(child));
-        }
-      }
-      spill.flush();  // workers read these records next depth
-      result.frontier_spill_bytes = spill.bytes_written();
-      spill_span.reset();
-
-      result.peak_frontier_bytes =
-          std::max(result.peak_frontier_bytes, resident + next_resident);
-      // ---- release the processed chunk: children alias the frame blocks
-      // they still share; everything else frees now, so the resident
-      // working set stays bounded by the budget (plus the chunk in
-      // flight), not by the depth's full frontier.
-      for (std::size_t idx = 0; idx < chunk_n; ++idx) {
-        CowFrontierItem& item = frontier[chunk_begin + idx];
-        if (!item.spilled) resident -= item.cost;
-        item = CowFrontierItem{};
-      }
-      chunk_begin = chunk_end;
     }
+    result.peak_frontier_bytes =
+        std::max(result.peak_frontier_bytes, resident + next_resident);
 
     frontier = std::move(next_frontier);
     resident = next_resident;
@@ -1487,10 +1445,7 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   result.cow_captures = total.cow_captures;
   result.cow_frames_copied = total.cow_frames_copied;
   result.cow_frames_shared = total.cow_frames_shared;
-  for (unsigned w = 0; w < threads; ++w) {
-    result.ops_executed += ops_executed_w[w];
-    result.frontier_spill_reloads += spill_reloads_w[w];
-  }
+  for (const std::uint64_t n : ops_executed_w) result.ops_executed += n;
   result.shard_occupancy = visited.occupancy();
   return result;
 }
@@ -1500,26 +1455,27 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
 // --------------------------------------------------------------- dispatcher
 
 ModelCheckResult run_model_check(const ModelCheckConfig& config) {
+  if (config.max_frontier_bytes != 0 && config.spill_dir.empty()) {
+    throw std::invalid_argument{
+        "model checker: a frontier budget needs a spill directory"};
+  }
   unsigned threads = config.threads != 0
                          ? config.threads
                          : std::max(1u, std::thread::hardware_concurrency());
   // More workers than cores only adds machines to boot; cap generously.
   threads = std::min(threads, 32u);
-  if (config.use_replay_fallback) threads = 1;
-  // Spilling lives in the sharded engine only; a single-worker spilling run
-  // goes through it too (the reports are byte-identical either way). The
-  // replay fallback keeps the plain serial BFS and never spills.
-  const bool wants_spill = !config.use_replay_fallback &&
-                           !config.spill_dir.empty() &&
-                           config.max_frontier_bytes != 0;
+  // The serial BFS owns the spillable frontier, so a budgeted run is
+  // serial; the report is byte-identical either way.
+  if (config.use_replay_fallback || config.max_frontier_bytes != 0) {
+    threads = 1;
+  }
   if (config.status != nullptr) config.status->checker_begin();
   ModelCheckResult result;
   {
     // Root of the deterministic span tree; per-depth children hang off it.
     obs::ScopedSpan check_span{config.profiler, obs::kSpanCheck};
-    result = threads <= 1 && !wants_spill
-                 ? run_model_check_serial(config)
-                 : run_model_check_sharded(config, std::max(threads, 1u));
+    result = threads <= 1 ? run_model_check_serial(config)
+                          : run_model_check_sharded(config, threads);
   }
   if (config.status != nullptr) {
     config.status->checker_progress(result.states_explored,

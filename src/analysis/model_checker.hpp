@@ -70,14 +70,14 @@ struct ModelCheckConfig {
   /// byte-identical violations, counterexamples and render_report() —
   /// dedup admission is partitioned by state hash over fixed shards, and
   /// each shard owner independently reproduces the serial first-encounter
-  /// decision (see DESIGN.md §16).
+  /// decision (see DESIGN.md §16). A run with max_frontier_bytes set is
+  /// always serial, whatever this says.
   unsigned threads = 1;
-  /// Bound on resident frontier bytes (deterministic accounting: op-prefix
-  /// labels + owned CoW frames + fixed per-item overhead). 0 = unbounded.
-  /// When set, the frontier of a depth is also processed in chunks sized to
-  /// the budget, so the expansion working set is bounded too. States past
-  /// the budget spill to disk when spill_dir is set; with no spill_dir the
-  /// budget only drives chunking and the frontier stays resident.
+  /// Ceiling on resident frontier bytes (deterministic accounting: op-prefix
+  /// labels + delta frames + fixed per-item overhead). 0 = unbounded. A
+  /// state that would push the queued total past it spills to spill_dir,
+  /// which must then be set (run_model_check throws otherwise). Spilling
+  /// runs use the serial BFS (DESIGN.md §9).
   std::uint64_t max_frontier_bytes = 0;
   /// Directory for the frontier spill file (created by the caller). The
   /// file gets a unique name (frontier-XXXXXX.spill), so concurrent checks
@@ -97,8 +97,9 @@ struct ModelCheckConfig {
   /// check/dN/{expand,audit} spans whose counts and steps are identical at
   /// any thread count — the serial driver records them directly, the
   /// sharded driver recomputes the serial tallies from its per-parent scan
-  /// records — plus Sched-kind produce/admit/settle/spill engine phases
-  /// (wall-only, per worker). The board receives live depth / frontier /
+  /// records — plus Sched-kind engine phases (wall-only): the sharded
+  /// engine's per-worker produce/admit/settle and the serial BFS's spill
+  /// writes and reloads. The board receives live depth / frontier /
   /// states-explored updates for the /status endpoint. Single run per
   /// profiler: spans accumulate.
   obs::SpanProfiler* profiler = nullptr;
@@ -172,11 +173,11 @@ struct ModelCheckResult {
   std::uint64_t cow_frames_copied = 0;       ///< frames materialized as blocks
   std::uint64_t cow_frames_shared = 0;       ///< frames aliased from a parent
 
-  /// Single-pass engine accounting. `ops_executed` counts actual op
-  /// applications on any machine — enumeration plus spill-replay reloads —
-  /// and equals ops_applied exactly when nothing spills and the run is not
-  /// truncated. Kept out of render_report so reports stay byte-identical
-  /// with or without spilling.
+  /// Frontier accounting. `ops_executed` counts actual op applications on
+  /// any machine — enumeration plus spill-replay reloads — and equals
+  /// ops_applied exactly when nothing spills and the run is not truncated.
+  /// Kept out of render_report so reports stay byte-identical with or
+  /// without spilling.
   std::uint64_t ops_executed = 0;
   std::uint64_t peak_frontier_bytes = 0;     ///< deterministic accounting
   std::uint64_t frontier_spilled_items = 0;  ///< states written to the spill

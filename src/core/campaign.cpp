@@ -1,11 +1,7 @@
 #include "core/campaign.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <new>
-#include <thread>
 
 #include "analysis/model_checker.hpp"
 #include "core/chaos.hpp"
@@ -274,115 +270,6 @@ std::vector<CellResult> Campaign::run(
     }
   }
   if (status != nullptr) status->campaign_end();
-  return results;
-}
-
-std::vector<CellResult> Campaign::run_parallel(
-    const std::function<std::vector<std::unique_ptr<UseCase>>()>& factory,
-    unsigned threads) const {
-  // Materialize the cell list once (indices into the per-worker case set).
-  struct Cell {
-    std::size_t case_index;
-    hv::XenVersion version;
-    Mode mode;
-  };
-  std::vector<Cell> cells;
-  const std::size_t n_cases = factory().size();
-  for (std::size_t c = 0; c < n_cases; ++c) {
-    for (const hv::XenVersion version : config_.versions) {
-      for (const Mode mode : config_.modes) {
-        cells.push_back({c, version, mode});
-      }
-    }
-  }
-
-  std::vector<CellResult> results(cells.size());
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::mutex error_mu;
-  std::exception_ptr factory_error;
-  const unsigned n_workers =
-      std::max(1u, std::min<unsigned>(threads, cells.size()));
-  obs::StatusBoard* const status = config_.status;
-  if (status != nullptr) status->campaign_begin(cells.size(), n_workers);
-  // Per-worker span lanes: profilers are single-writer, so each worker
-  // records into its own instance (sharing the campaign profiler's epoch,
-  // for comparable Chrome-trace timestamps) and the lanes are merged after
-  // the join. Merging sums by path, so the aggregated tree is identical to
-  // a serial run's regardless of how the scheduler dealt the cells.
-  std::vector<std::unique_ptr<obs::SpanProfiler>> lanes;
-  if (config_.profiler != nullptr) {
-    lanes.reserve(n_workers);
-    for (unsigned w = 0; w < n_workers; ++w) {
-      lanes.push_back(
-          std::make_unique<obs::SpanProfiler>(config_.profiler->epoch()));
-      lanes.back()->set_tid(w);
-      lanes.back()->set_record_events(config_.profiler->record_events());
-    }
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(n_workers);
-  for (unsigned w = 0; w < n_workers; ++w) {
-    workers.emplace_back([&, w] {
-      // Private UseCase instances: per-run state must not be shared. The
-      // platform pool is per-worker too — platforms are not thread-safe.
-      //
-      // Nothing in this body may let an exception escape: an unhandled
-      // throw in a std::thread is std::terminate for the whole process,
-      // i.e. one bad factory or platform boot killing every sibling cell.
-      std::vector<std::unique_ptr<UseCase>> cases;
-      try {
-        cases = factory();
-      } catch (...) {
-        // This worker has no cases to run; siblings drain the cell queue.
-        // Remembered so the campaign can still fail loudly if *no* worker
-        // managed to construct its cases.
-        const std::lock_guard<std::mutex> lock{error_mu};
-        if (!factory_error) factory_error = std::current_exception();
-        return;
-      }
-      PlatformPool pool;
-      obs::SpanProfiler* const lane =
-          lanes.empty() ? nullptr : lanes[w].get();
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= cells.size()) return;
-        try {
-          results[i] = run_cell(*cases[cells[i].case_index], cells[i].version,
-                                cells[i].mode, pool, lane);
-        } catch (...) {
-          // run_cell already isolates use-case and platform failures; this
-          // is the backstop for anything else (e.g. a throwing name()).
-          // The failure lands on the owning cell, never on siblings.
-          CellResult& cell = results[i];
-          cell.version = cells[i].version;
-          cell.mode = cells[i].mode;
-          try {
-            cell.use_case = cases[cells[i].case_index]->name();
-          } catch (...) {
-          }
-          try {
-            throw;
-          } catch (const std::exception& e) {
-            cell.failure = e.what();
-          } catch (...) {
-            cell.failure = "non-standard exception";
-          }
-          cell.outcome.completed = false;
-        }
-        completed.fetch_add(1);
-        if (status != nullptr) status->cell_done(w, results[i].failed());
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (status != nullptr) status->campaign_end();
-  for (const auto& lane : lanes) config_.profiler->merge(*lane);
-  // Every worker's factory threw: no cell ever ran, and silently returning
-  // default-constructed results would look like a clean all-fail matrix.
-  if (factory_error && completed.load() < cells.size()) {
-    std::rethrow_exception(factory_error);
-  }
   return results;
 }
 

@@ -10,7 +10,6 @@
 //   handled    — err_state && !violation (Table III's shield cells).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,7 +45,7 @@ struct CellResult {
   std::uint64_t hypercalls = 0;  ///< HypercallEnter events during the cell
   /// Per-cell observability snapshot (trace/hypercall counters). The cell's
   /// sink starts at seq 0, so metrics and trace depend only on the cell's
-  /// own execution — identical under run() and run_parallel().
+  /// own execution — identical under run() and the supervisor.
   obs::MetricsSnapshot metrics;
   /// Captured ring contents, only when CampaignConfig::capture_trace.
   std::vector<obs::TraceEvent> trace;
@@ -97,7 +96,7 @@ struct CampaignConfig {
   /// re-booting from scratch. The per-cell trace sink is attached only
   /// after the rewind, so a cell's trace, counters and budget accounting
   /// cover exactly its own execution — identical whether the platform was
-  /// freshly built or reused, and identical under run() and run_parallel().
+  /// freshly built or reused, and identical under run() and the supervisor.
   /// When false, every cell boots a private platform and the sink observes
   /// the boot as well (the pre-reuse behaviour).
   bool reuse_platforms = true;
@@ -105,22 +104,20 @@ struct CampaignConfig {
   /// site). run_cell records cell/{acquire,restore,inject,monitor,recover}
   /// spans whose counts and steps are deterministic per cell — trace-sink
   /// step deltas and rewind frame counts, never wall time — so the
-  /// aggregated tree is identical under run() and run_parallel() at any
-  /// thread count (run_parallel gives each worker a private lane profiler
-  /// and merges them here after the join; the supervisor does the same).
+  /// aggregated tree is identical under run() and the supervisor at any
+  /// thread count (the supervisor gives each worker a private lane profiler
+  /// and merges them here after the join).
   obs::SpanProfiler* profiler = nullptr;
-  /// Optional live status board: run()/run_parallel() and the supervisor
-  /// publish cells done/total, per-worker heartbeats and retry/quarantine
+  /// Optional live status board: run() and the supervisor publish cells done/total, per-worker heartbeats and retry/quarantine
   /// counts; preflight forwards it to the model checker.
   obs::StatusBoard* status = nullptr;
 };
 
 /// One warm platform per (version, injector) pair, each parked at its
 /// captured boot baseline. Owned by a single worker (not thread-safe):
-/// Campaign::run keeps one for the whole matrix, run_parallel one per
-/// worker, and the supervisor one per retry worker. run_cell rewinds a
-/// leased platform back to the baseline when the cell finishes, so a
-/// pooled platform is always clean between cells.
+/// Campaign::run keeps one for the whole matrix, and the supervisor one per
+/// worker. run_cell rewinds a leased platform back to the baseline when the
+/// cell finishes, so a pooled platform is always clean between cells.
 class PlatformPool {
  public:
   struct Entry {
@@ -197,29 +194,20 @@ class Campaign {
   [[nodiscard]] std::vector<CellResult> run(
       const std::vector<std::unique_ptr<UseCase>>& cases) const;
 
-  /// Same matrix, cells distributed over `threads` workers. Each cell owns
-  /// a private platform, so cells are embarrassingly parallel — but a
-  /// UseCase instance is stateful across a run (per-run members), so every
-  /// worker gets its own instances via `factory`. Results come back in the
-  /// same deterministic order as run().
-  [[nodiscard]] std::vector<CellResult> run_parallel(
-      const std::function<std::vector<std::unique_ptr<UseCase>>()>& factory,
-      unsigned threads) const;
-
   /// Run a single cell on a fresh platform (a one-shot pool).
   [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
                                     Mode mode) const;
 
   /// Run a single cell, leasing the platform from `pool` when
   /// reuse_platforms is set (the pool is untouched otherwise). Callers that
-  /// run many cells — run(), run_parallel() workers, the supervisor — pass
+  /// run many cells — run() and the supervisor's workers — pass
   /// a long-lived pool so consecutive cells share warm platforms.
   [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
                                     Mode mode, PlatformPool& pool) const;
 
   /// Same, recording spans into `profiler` instead of config().profiler —
-  /// the per-worker-lane entry point used by run_parallel() and the
-  /// supervisor (profilers are single-writer, like trace sinks).
+  /// the per-worker-lane entry point used by the supervisor (profilers are
+  /// single-writer, like trace sinks).
   [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
                                     Mode mode, PlatformPool& pool,
                                     obs::SpanProfiler* profiler) const;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -100,6 +101,11 @@ std::vector<CellResult> CampaignSupervisor::run(
   std::deque<std::size_t> released;
   std::atomic<std::uint64_t> worker_crashes{0};
   std::atomic<bool> killed{false};
+  // A worker whose factory throws runs nothing; the first such error is
+  // rethrown if a whole round of workers fails that way.
+  std::mutex factory_error_mu;
+  std::exception_ptr factory_error;
+  std::atomic<unsigned> factory_failures{0};  // in the current round
   // Backstop against a crash-looping plan: once every use case could have
   // crashed a few times over, stop honoring the crash point so the
   // campaign always terminates.
@@ -267,7 +273,18 @@ std::vector<CellResult> CampaignSupervisor::run(
 
   auto worker_body = [&](unsigned w) {
     obs::SpanProfiler* const lane = lanes.empty() ? nullptr : lanes[w].get();
-    auto cases = factory();
+    // Nothing may escape a worker thread: an unhandled throw there is
+    // std::terminate for the whole process. A worker that cannot build its
+    // use cases exits, and its siblings drain the claims.
+    std::vector<std::unique_ptr<UseCase>> cases;
+    try {
+      cases = factory();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock{factory_error_mu};
+      if (!factory_error) factory_error = std::current_exception();
+      factory_failures.fetch_add(1);
+      return;
+    }
     // Warm platforms are per-worker (not thread-safe); retries of a cell
     // lease the same platform again, rewound to its baseline in between.
     PlatformPool pool;
@@ -299,7 +316,10 @@ std::vector<CellResult> CampaignSupervisor::run(
     }
   };
 
+  // Returns false when every worker's factory threw: nothing was claimed,
+  // and another round would fail the same way.
   const auto run_round = [&] {
+    factory_failures.store(0);
     if (n_workers == 1) {
       worker_body(0);
     } else {
@@ -310,19 +330,25 @@ std::vector<CellResult> CampaignSupervisor::run(
       }
       for (std::thread& worker : workers) worker.join();
     }
+    return factory_failures.load() < n_workers;
   };
 
   // Round 1 plus respawn rounds: a round ends when every worker returned —
   // all claims done, or some workers crashed. Crashed claims sit in
   // `released`, so respawned workers drain them; the crash cap above
-  // guarantees the loop terminates.
-  run_round();
-  while (!killed.load() && unfinished()) run_round();
+  // guarantees the loop terminates, and so does stopping after a round in
+  // which no worker could build its use cases.
+  bool workers_ran = run_round();
+  while (workers_ran && !killed.load() && unfinished()) {
+    workers_ran = run_round();
+  }
 
   if (status != nullptr) status->campaign_end();
   for (const auto& lane : lanes) campaign_.profiler->merge(*lane);
 
   if (killed.load()) throw CampaignKilled{};
+  // Returning the unrun cells would look like a matrix of results.
+  if (!workers_ran) std::rethrow_exception(factory_error);
 
   // Robustness bookkeeping rides on the first cell's counters (cells are
   // merged in order, so the campaign aggregate sees it exactly once).

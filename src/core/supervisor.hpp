@@ -77,8 +77,11 @@ class CampaignSupervisor {
       : campaign_{std::move(campaign)}, config_{std::move(config)} {}
 
   /// Run the full (use case x version x mode) matrix under supervision.
-  /// `factory` builds a private UseCase set per worker, exactly like
-  /// Campaign::run_parallel. Results come back in matrix order.
+  /// `factory` builds a private UseCase set per worker, plus one set whose
+  /// names define the matrix rows. A worker whose factory throws runs
+  /// nothing and its siblings run its share; if every worker's factory
+  /// throws, run rethrows the first error. Results come back in matrix
+  /// order.
   [[nodiscard]] std::vector<CellResult> run(
       const std::function<std::vector<std::unique_ptr<UseCase>>()>& factory)
       const;

@@ -273,23 +273,11 @@ class Hypervisor {
   /// taken. Byte-identical to restore(base). Returns frames copied.
   std::uint64_t restore_delta(const HvSnapshot& base);
 
-  /// Restore to the state `delta` describes (captured against `base`),
-  /// from any current state: frames currently diverged from the baseline
-  /// are rewound, frames the delta carries are applied. Returns frames
-  /// copied.
-  ///
-  /// `foreign` must be set when `delta` was captured on a *different*
-  /// Hypervisor instance (booted identically, so `base` — which must be
-  /// THIS machine's own root snapshot — matches the capturing machine's
-  /// root byte-for-byte). Write generations are per-machine: replaying the
-  /// capturer's recorded generations here could collide with a generation
-  /// this machine already handed to different bytes, leaving a stale entry
-  /// in the frame-digest cache. Foreign frames are therefore applied
-  /// through the ordinary write path, which stamps fresh generations;
-  /// rewinds to `base` keep the boot-time generations, which identically
-  /// booted machines share.
-  std::uint64_t restore_delta(const HvSnapshot& base, const HvDelta& delta,
-                              bool foreign = false);
+  /// Restore to the state `delta` describes (captured against `base` on
+  /// this machine), from any current state: frames currently diverged from
+  /// the baseline are rewound, frames the delta carries are applied with
+  /// their recorded write generations. Returns frames copied.
+  std::uint64_t restore_delta(const HvSnapshot& base, const HvDelta& delta);
 
   /// Capture the current state as a node of the copy-on-write snapshot
   /// forest (snapshot.hpp): frames diverged from `base` either alias the
@@ -306,10 +294,11 @@ class Hypervisor {
 
   /// Restore to the state a CoW node describes, from any current state.
   /// CoW nodes are machine-portable (they carry bytes, not generations):
-  /// node frames go through the ordinary write path — fresh generations,
-  /// same reasoning as a foreign delta — and frames diverged from `base`
-  /// that the node does not carry are rewound to the baseline. Returns
-  /// frames copied.
+  /// node frames go through the ordinary write path, which stamps fresh
+  /// generations — the capturing machine's generations could collide with
+  /// ones this machine already gave to different bytes and leave a stale
+  /// frame digest — and frames diverged from `base` that the node does not
+  /// carry are rewound to the baseline. Returns frames copied.
   std::uint64_t restore_cow(const HvSnapshot& base, const HvCowState& cow);
 
   /// Digest of the semantically observable state (memory, frame table +

@@ -419,7 +419,7 @@ std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base) {
 }
 
 std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base,
-                                        const HvDelta& delta, bool foreign) {
+                                        const HvDelta& delta) {
   check_shape(base, *mem_, frames_, "restore_delta");
   if (delta.base_generation != base.mem_generation) {
     throw std::logic_error{
@@ -429,23 +429,14 @@ std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base,
 
   // Frames the delta does not carry are identical to the baseline in the
   // target state, so any that diverged here are rewound; then the delta's
-  // frames are applied. A foreign delta's generations belong to the
-  // machine that captured it and could collide with generations this
-  // machine already stamped on different bytes (poisoning the digest
-  // cache), so its frames go through write() — a fresh generation per
-  // frame. Rewinds always use the baseline's generations: `base` is this
-  // machine's own root, and an identically booted capturer shares its
-  // boot-time (generation, content) pairs.
+  // frames are applied with the generations this machine stamped on them
+  // when the delta was captured.
   std::uint64_t copied = rewind_to(base, delta.mem_frames);
   for (std::size_t d = 0; d < delta.mem_frames.size(); ++d) {
-    const sim::Mfn mfn{delta.mem_frames[d]};
     const std::span bytes{delta.mem_bytes.data() + d * sim::kPageSize,
                           sim::kPageSize};
-    if (foreign) {
-      mem_->write(sim::mfn_to_paddr(mfn), bytes);
-    } else {
-      mem_->restore_frame(mfn, bytes, delta.mem_frame_gens[d]);
-    }
+    mem_->restore_frame(sim::Mfn{delta.mem_frames[d]}, bytes,
+                        delta.mem_frame_gens[d]);
     ++copied;
   }
   snap_stats_.frames_copied += copied;
@@ -509,10 +500,10 @@ std::uint64_t Hypervisor::restore_cow(const HvSnapshot& base,
   check_shape(base, *mem_, frames_, "restore_cow");
   ++snap_stats_.cow_restores;
 
-  // Same shape as a foreign delta restore: frames diverged from the root
-  // that the node does not carry are rewound to the root's generations;
-  // node frames go through write() (CoW nodes carry no generations — they
-  // may have been captured on any identically booted machine).
+  // Frames diverged from the root that the node does not carry are rewound
+  // to the root's generations; node frames go through write(), which
+  // stamps fresh generations (CoW nodes carry none — they may have been
+  // captured on any identically booted machine).
   std::vector<std::uint64_t> overlay;
   overlay.reserve(cow.mem_frames.size());
   for (const auto& [m, block] : cow.mem_frames) overlay.push_back(m);

@@ -127,7 +127,8 @@ using HvFrameBlockRef = std::shared_ptr<const HvFrameBlock>;
 /// one parent that an op left mostly untouched) share the frames the op
 /// did not write instead of each carrying a private copy. Unlike HvDelta a
 /// CoW node records no write generations: it is machine-portable by
-/// construction and always restored through the foreign-safe write path.
+/// construction and always restored through the write path, which stamps
+/// fresh generations.
 struct HvCowState {
   /// Frames whose contents may differ from the root, ascending by MFN.
   /// Blocks are shared with the parent node where the capture proved the

@@ -19,10 +19,11 @@
 // Spans are Det or Sched. Det spans live on the logical execution path and
 // carry thread-count-independent counts/steps (the serial checker and the
 // sharded checker account the same expand/audit work). Sched spans are
-// engine mechanics — the sharded checker's produce/admit/settle/spill
-// phases, per-worker drains — whose very existence depends on --threads;
-// they are excluded from the deterministic render and shown only with wall
-// data (the same split as render_report vs render_engine_stats).
+// engine mechanics — the sharded checker's produce/admit/settle phases,
+// per-worker drains, the serial checker's spill traffic — whose very
+// existence depends on --threads or the frontier budget; they are excluded
+// from the deterministic render and shown only with wall data (the same
+// split as render_report vs render_engine_stats).
 //
 // Cost model, inherited from TraceSink: every instrumentation site is a
 // single `if (profiler)` branch when no profiler is attached; a ScopedSpan
@@ -57,8 +58,9 @@ enum class SpanKind : std::uint8_t { Det, Sched };
 // deliberate exception: they are data, not vocabulary.
 
 // Model checker (src/analysis). expand/audit are the deterministic
-// logical-work spans; produce/admit/settle/spill are the single-pass
-// owner-computes engine's Sched-kind phases (DESIGN.md §16).
+// logical-work spans; produce/admit/settle are the single-pass
+// owner-computes engine's Sched-kind phases (DESIGN.md §16), and spill is
+// the serial BFS's Sched-kind spill writes and replay reloads (§9).
 inline constexpr std::string_view kSpanCheck = "check";
 inline constexpr std::string_view kSpanExpand = "expand";
 inline constexpr std::string_view kSpanAudit = "audit";

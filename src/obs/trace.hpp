@@ -6,8 +6,8 @@
 // byte-identical traces regardless of host load or thread placement. The
 // campaign engine gives every cell its own TraceSink (one hypervisor, one
 // sink, one thread), which is what keeps the ring lock-free: there is never
-// a concurrent writer, and run_parallel merges per-cell traces back in
-// deterministic cell order.
+// a concurrent writer, and the campaign supervisor stores per-cell traces
+// in deterministic matrix order.
 //
 // Cost model: every instrumentation site in the hypervisor/simulator is a
 // single `if (sink)` branch when no sink is attached — the zero-

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/model_checker.hpp"
@@ -303,23 +304,17 @@ TEST(ModelChecker, SpillingPreservesTheReportExactly) {
   }
 }
 
-TEST(ModelChecker, BudgetWithoutSpillDirOnlyChunks) {
-  // A frontier budget with no spill_dir must never spill: the budget then
-  // only drives chunked expansion, and the report still matches.
+TEST(ModelChecker, BudgetWithoutSpillDirIsRefused) {
+  // A frontier budget is a ceiling, and only spilling can keep it, so a
+  // budget with nowhere to spill is a configuration error.
   auto config = config_for(hv::kXen46, 2);
-  const auto baseline = run_model_check(config);
   config.max_frontier_bytes = 16 * 1024;
-  config.threads = 4;
-  const auto chunked = run_model_check(config);
-  EXPECT_EQ(chunked.frontier_spilled_items, 0u);
-  EXPECT_EQ(chunked.frontier_spill_bytes, 0u);
-  EXPECT_EQ(render_report(baseline), render_report(chunked));
-  EXPECT_GT(chunked.peak_frontier_bytes, 0u);
+  EXPECT_THROW((void)run_model_check(config), std::invalid_argument);
 }
 
 TEST(ModelChecker, SerialSpillingAlsoPreservesTheReport) {
-  // The spill path is engine-independent: the serial driver chunks too,
-  // and a single-worker spilling run must match its resident twin.
+  // The serial BFS owns the spill path: a single-worker spilling run with
+  // grant ops must match its resident twin.
   auto config = config_for(hv::kXen48, 2, /*grants=*/true);
   config.threads = 1;
   const auto resident = run_model_check(config);
@@ -329,6 +324,28 @@ TEST(ModelChecker, SerialSpillingAlsoPreservesTheReport) {
   EXPECT_TRUE(spill_dir_empty(config.spill_dir));
   EXPECT_EQ(render_report(resident), render_report(spilled));
   EXPECT_GT(spilled.frontier_spilled_items, 0u);
+}
+
+TEST(ModelChecker, SpillingRunStaysWithinItsFrontierBudget) {
+  // The budget is a ceiling on resident frontier bytes, not a chunk size:
+  // the accounted peak never passes it, every spilled state is reloaded
+  // (none is left behind in the file), and the report is the resident
+  // run's.
+  auto config = config_for(hv::kXen46, 3);
+  config.guest_domains = 2;
+  config.machine_frames =
+      16 + config.dom0_pages + 2 * config.domain_pages + 16;
+  const auto resident = run_model_check(config);
+  ASSERT_FALSE(resident.truncated);
+
+  config.max_frontier_bytes = 1024 * 1024;
+  config.spill_dir = own_spill_dir("SpillingRunStaysWithinItsFrontierBudget");
+  const auto spilled = run_model_check(config);
+  EXPECT_TRUE(spill_dir_empty(config.spill_dir));
+  EXPECT_GT(spilled.frontier_spilled_items, 0u);
+  EXPECT_LE(spilled.peak_frontier_bytes, config.max_frontier_bytes);
+  EXPECT_EQ(spilled.frontier_spill_reloads, spilled.frontier_spilled_items);
+  EXPECT_EQ(render_report(resident), render_report(spilled));
 }
 
 TEST(ModelChecker, TruncatedCleanRunFailsTheExpectation) {

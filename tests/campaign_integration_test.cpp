@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 namespace ii {
@@ -130,7 +132,7 @@ TEST_F(CampaignMatrix, ReportsRender) {
   EXPECT_NE(t3.find("[shield]"), std::string::npos);
 }
 
-// --- run_parallel fault containment -------------------------------------
+// --- supervisor fault containment ----------------------------------------
 //
 // A worker's factory or a use case throwing must never escape a worker
 // thread (std::terminate would take the whole campaign down); it fails
@@ -182,9 +184,18 @@ core::CampaignConfig tiny_config() {
   return config;
 }
 
+/// The tiny matrix under a two-worker supervisor.
+std::vector<core::CellResult> run_two_workers(
+    const std::function<std::vector<std::unique_ptr<core::UseCase>>()>&
+        factory) {
+  core::SupervisorConfig supervision;
+  supervision.threads = 2;
+  return core::CampaignSupervisor{tiny_config(), supervision}.run(factory);
+}
+
 TEST(CampaignParallel, OneThrowingFactoryDoesNotSinkTheRun) {
-  // Call 1 materializes the cell list; among the per-worker calls, exactly
-  // one throws. The surviving worker must drain every cell.
+  // Call 0 names the use cases; of the two per-worker calls, exactly one
+  // throws. The surviving worker must drain every cell.
   std::atomic<unsigned> calls{0};
   const auto factory = [&]() -> std::vector<std::unique_ptr<core::UseCase>> {
     if (calls.fetch_add(1) == 1) {
@@ -196,7 +207,7 @@ TEST(CampaignParallel, OneThrowingFactoryDoesNotSinkTheRun) {
     cases.push_back(std::make_unique<BenignCase>("gamma"));
     return cases;
   };
-  const auto results = core::Campaign{tiny_config()}.run_parallel(factory, 2);
+  const auto results = run_two_workers(factory);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].use_case, "alpha");
   EXPECT_EQ(results[2].use_case, "gamma");
@@ -208,19 +219,20 @@ TEST(CampaignParallel, OneThrowingFactoryDoesNotSinkTheRun) {
 
 TEST(CampaignParallel, AllFactoriesThrowingIsReportedLoudly) {
   // When no worker can construct its cases, no cell ever runs; returning a
-  // default-constructed matrix would masquerade as results.
+  // default-constructed matrix would masquerade as results, and starting
+  // another round of workers would fail the same way forever.
   std::atomic<unsigned> calls{0};
   const auto factory = [&]() -> std::vector<std::unique_ptr<core::UseCase>> {
     if (calls.fetch_add(1) == 0) {
       std::vector<std::unique_ptr<core::UseCase>> cases;
       cases.push_back(std::make_unique<BenignCase>("alpha"));
-      return cases;  // the cell-list materialization succeeds
+      cases.push_back(std::make_unique<BenignCase>("beta"));
+      return cases;  // naming the use cases succeeds: two workers start
     }
     throw std::runtime_error{"no cases for you"};
   };
-  EXPECT_THROW(
-      (void)core::Campaign{tiny_config()}.run_parallel(factory, 2),
-      std::runtime_error);
+  EXPECT_THROW((void)run_two_workers(factory), std::runtime_error);
+  EXPECT_EQ(calls.load(), 3u);
 }
 
 TEST(CampaignParallel, NonStandardExceptionFailsOnlyItsCell) {
@@ -231,7 +243,7 @@ TEST(CampaignParallel, NonStandardExceptionFailsOnlyItsCell) {
     cases.push_back(std::make_unique<BenignCase>("gamma"));
     return cases;
   };
-  const auto results = core::Campaign{tiny_config()}.run_parallel(factory, 2);
+  const auto results = run_two_workers(factory);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_FALSE(results[0].failed());
   EXPECT_TRUE(results[0].outcome.completed);

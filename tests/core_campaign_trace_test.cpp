@@ -1,12 +1,17 @@
 // Campaign-level observability: per-cell traces, hypercall pairing,
-// deterministic sequence numbers under run_parallel, and the CSV columns.
+// deterministic sequence numbers under the parallel supervisor, and the CSV
+// columns.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "obs/span.hpp"
 #include "obs/status.hpp"
 
@@ -18,7 +23,9 @@ namespace {
 /// and a balloon round-trip.
 class TraceProbeCase : public UseCase {
  public:
-  [[nodiscard]] std::string name() const override { return "trace-probe"; }
+  explicit TraceProbeCase(std::string name = "trace-probe")
+      : name_{std::move(name)} {}
+  [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] IntrusionModel model() const override { return {}; }
 
   CaseOutcome run_exploit(guest::VirtualPlatform& platform) override {
@@ -52,6 +59,8 @@ class TraceProbeCase : public UseCase {
     outcome.completed = true;
     return outcome;
   }
+
+  std::string name_;
 };
 
 CampaignConfig small_config(bool capture) {
@@ -70,6 +79,36 @@ std::vector<std::unique_ptr<UseCase>> probe_cases() {
   std::vector<std::unique_ptr<UseCase>> cases;
   cases.push_back(std::make_unique<TraceProbeCase>());
   return cases;
+}
+
+/// Three probe use cases, so a supervisor (which hands out whole use cases)
+/// really runs up to three workers.
+std::vector<std::unique_ptr<UseCase>> probe_matrix() {
+  std::vector<std::unique_ptr<UseCase>> cases;
+  for (const char* name : {"probe-a", "probe-b", "probe-c"}) {
+    cases.push_back(std::make_unique<TraceProbeCase>(name));
+  }
+  return cases;
+}
+
+std::vector<CellResult> run_supervised(const CampaignConfig& config,
+                                       unsigned workers) {
+  SupervisorConfig supervision;
+  supervision.threads = workers;
+  return CampaignSupervisor{config, supervision}.run(probe_matrix);
+}
+
+/// A cell's counters, less the ones that depend on who ran it: the
+/// supervisor.* verdicts only the supervisor adds, and cell.reuse_hits,
+/// which follows the use cases the worker's pool served before.
+std::map<std::string, std::uint64_t> cell_counters(const CellResult& cell) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] : cell.metrics.counters) {
+    if (name.rfind("supervisor.", 0) != 0 && name != "cell.reuse_hits") {
+      counters.emplace(name, value);
+    }
+  }
+  return counters;
 }
 
 TEST(CampaignTrace, EveryCellPairsEnterAndExitInOrder) {
@@ -125,10 +164,10 @@ TEST(CampaignTrace, PerNrCountersSumToEnterEvents) {
 }
 
 TEST(CampaignTrace, ParallelTracesMatchSerialByCell) {
-  const Campaign campaign{small_config(/*capture=*/true)};
-  const auto serial = campaign.run(probe_cases());
-  const auto parallel1 = campaign.run_parallel(probe_cases, 1);
-  const auto parallel4 = campaign.run_parallel(probe_cases, 4);
+  const CampaignConfig config = small_config(/*capture=*/true);
+  const auto serial = Campaign{config}.run(probe_matrix());
+  const auto parallel1 = run_supervised(config, 1);
+  const auto parallel4 = run_supervised(config, 4);
 
   ASSERT_EQ(serial.size(), parallel1.size());
   ASSERT_EQ(serial.size(), parallel4.size());
@@ -138,7 +177,7 @@ TEST(CampaignTrace, ParallelTracesMatchSerialByCell) {
       EXPECT_EQ(serial[i].version, run->version);
       EXPECT_EQ(serial[i].mode, run->mode);
       EXPECT_EQ(serial[i].hypercalls, run->hypercalls);
-      EXPECT_EQ(serial[i].metrics.counters, run->metrics.counters);
+      EXPECT_EQ(cell_counters(serial[i]), cell_counters(*run));
       // Per-cell sinks restart seq at 0, so the trace is byte-identical
       // regardless of worker count and scheduling.
       ASSERT_EQ(serial[i].trace.size(), run->trace.size());
@@ -263,19 +302,19 @@ TEST(CampaignProfile, SpanTreeCoversTheCellLifecycle) {
 }
 
 TEST(CampaignProfile, MergedParallelProfileMatchesSerial) {
-  // run_parallel records into per-worker lane profilers and merges after
+  // The supervisor records into per-worker lane profilers and merges after
   // join; the aggregated deterministic render must equal a serial run's,
   // at any worker count.
   auto serial_config = small_config(/*capture=*/false);
   obs::SpanProfiler serial_prof;
   serial_config.profiler = &serial_prof;
-  (void)Campaign{serial_config}.run(probe_cases());
+  (void)Campaign{serial_config}.run(probe_matrix());
   const std::string baseline = render_profile(serial_prof);
   for (const unsigned workers : {1u, 3u}) {
     auto config = small_config(/*capture=*/false);
     obs::SpanProfiler prof;
     config.profiler = &prof;
-    (void)Campaign{config}.run_parallel(probe_cases, workers);
+    (void)run_supervised(config, workers);
     EXPECT_EQ(baseline, render_profile(prof)) << "workers=" << workers;
   }
 }
@@ -284,7 +323,7 @@ TEST(CampaignProfile, StatusBoardSeesTheWholeMatrix) {
   auto config = small_config(/*capture=*/false);
   obs::StatusBoard board;
   config.status = &board;
-  const auto results = Campaign{config}.run_parallel(probe_cases, 2);
+  const auto results = run_supervised(config, 2);
   const obs::StatusSnapshot s = board.snapshot();
   EXPECT_FALSE(s.campaign_active);  // campaign_end() ran
   EXPECT_EQ(s.cells_total, results.size());

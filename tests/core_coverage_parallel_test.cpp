@@ -1,8 +1,9 @@
-// Model-coverage accounting and the parallel campaign runner.
+// Model-coverage accounting and the supervisor's parallel campaign.
 #include <gtest/gtest.h>
 
 #include "core/campaign.hpp"
 #include "core/coverage.hpp"
+#include "core/supervisor.hpp"
 #include "cvedb/advisories.hpp"
 #include "xsa/usecases.hpp"
 
@@ -15,6 +16,15 @@ std::vector<std::unique_ptr<core::UseCase>> all_cases() {
     cases.push_back(std::move(extension));
   }
   return cases;
+}
+
+/// The paper's use cases under a supervisor with `threads` workers.
+std::vector<core::CellResult> run_supervised(const core::CampaignConfig& config,
+                                             unsigned threads) {
+  core::SupervisorConfig supervision;
+  supervision.threads = threads;
+  return core::CampaignSupervisor{config, supervision}.run(
+      &xsa::make_paper_use_cases);
 }
 
 std::vector<core::IntrusionModel> derived_catalogue() {
@@ -82,8 +92,7 @@ TEST(ParallelCampaign, MatchesSerialResults) {
   const core::Campaign campaign{config};
 
   const auto serial = campaign.run(xsa::make_paper_use_cases());
-  const auto parallel =
-      campaign.run_parallel(&xsa::make_paper_use_cases, 4);
+  const auto parallel = run_supervised(config, 4);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -102,9 +111,8 @@ TEST(ParallelCampaign, SingleThreadAndOversubscription) {
   config.platform.machine_frames = 8192;
   config.platform.dom0_pages = 128;
   config.platform.guest_pages = 64;
-  const core::Campaign campaign{config};
-  const auto one = campaign.run_parallel(&xsa::make_paper_use_cases, 1);
-  const auto many = campaign.run_parallel(&xsa::make_paper_use_cases, 64);
+  const auto one = run_supervised(config, 1);
+  const auto many = run_supervised(config, 64);
   ASSERT_EQ(one.size(), 4u);
   ASSERT_EQ(many.size(), 4u);
   for (std::size_t i = 0; i < one.size(); ++i) {

@@ -9,9 +9,9 @@
 //      snapshot taken at capture time — and restore_delta(base) rewinds
 //      byte-identically to the baseline.
 //   3. Every rewind flavour — to the synced baseline or to another
-//      snapshot, foreign deltas, CoW nodes, full restores — leaves memory
-//      and every PageInfo equal to a machine that reached the same state
-//      another way, with the same hash.
+//      snapshot, CoW nodes, full restores — leaves memory and every
+//      PageInfo equal to a machine that reached the same state another
+//      way, with the same hash.
 // They are fuzzed with seeded generators across the three paper versions,
 // so any mutation path that skips the dirty log shows up as a hash split.
 // SnapshotCost pins the other half of the claim: hash, capture and rewind
@@ -254,12 +254,10 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
   const auto [minor, seed] = GetParam();
   const XenVersion version{4, minor};
   Harness h{version, seed + 3000};
-  Harness peer{version, seed + 4000};  // captures the foreign deltas
   const Harness cold{version, 0};      // never mutated: the boot state
   const Image boot = image_of(cold.hv);
   const std::uint64_t boot_hash = cold.hv.state_hash();
   const HvSnapshot root = h.hv.snapshot();
-  const HvSnapshot peer_root = peer.hv.snapshot();
   ASSERT_EQ(root.hash, boot_hash);
 
   const auto expect_state = [&](const Image& want, std::uint64_t want_hash,
@@ -295,7 +293,7 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
   std::optional<Node> node;
   for (int step = 0; step < 60; ++step) {
     const std::string at = "step " + std::to_string(step);
-    switch (h.rng() % 12) {
+    switch (h.rng() % 11) {
       case 0:
         (void)h.hv.restore_delta(root);
         expect_state(boot, boot_hash, at + ": restore_delta(root)");
@@ -309,14 +307,6 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
                      at + ": restore_delta(second)");
         break;
       case 3: {
-        for (int i = 0; i < 3; ++i) peer.mixed_op();
-        const HvDelta delta = peer.hv.snapshot_delta(peer_root);
-        (void)h.hv.restore_delta(root, delta, /*foreign=*/true);
-        expect_state(image_of(peer.hv), peer.hv.state_hash(),
-                     at + ": foreign restore_delta");
-        break;
-      }
-      case 4: {
         (void)h.hv.restore_delta(root);
         const std::uint64_t marker = h.hv.memory().generation();
         some_ops(3);
@@ -324,13 +314,13 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
         node = Node{std::move(cow), image_of(h.hv)};
         break;
       }
-      case 5:
+      case 4:
         if (node) {
           (void)h.hv.restore_cow(root, node->cow);
           expect_state(node->image, node->cow.hash, at + ": restore_cow");
         }
         break;
-      case 6:
+      case 5:
         if (h.rng() % 2 == 0) {
           h.hv.restore(root);
           expect_state(boot, boot_hash, at + ": restore(root)");
@@ -340,15 +330,15 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
                        at + ": restore(second)");
         }
         break;
-      case 7:
+      case 6:
         (void)h.hv.recover();
         break;
-      case 8:
+      case 7:
         if (h.guest_alive()) {
           (void)h.hv.hypercall_domctl_destroy(h.dom0, h.guest);
         }
         break;
-      case 9: {
+      case 8: {
         // A PageInfo change with no memory write must move the hash, and
         // a rewind must undo it.
         const sim::Mfn frame{h.rng() % h.hv.frames().frame_count()};

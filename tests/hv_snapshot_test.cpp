@@ -132,38 +132,5 @@ TEST(Snapshot, RejectsForeignShape) {
   EXPECT_THROW(f.hv.restore(snap), std::logic_error);
 }
 
-TEST(Snapshot, ForeignDeltaRestoresAcrossMachines) {
-  // The sharded model checker captures a delta on one worker's machine and
-  // replays it on another. Write generations are per-machine, so the
-  // foreign restore must stamp fresh generations for delta-carried frames —
-  // otherwise machine B's digest cache can serve a stale digest for a (gen,
-  // content) pair that machine A's history assigned to different bytes.
-  Fixture a, b;
-  ASSERT_EQ(a.hv.state_hash(), b.hv.state_hash());
-  const HvSnapshot root_a = a.hv.snapshot();
-  const HvSnapshot root_b = b.hv.snapshot();
-  ASSERT_EQ(root_a.mem_generation, root_b.mem_generation);
-
-  // Machine A produces a state the usual way.
-  ASSERT_EQ(kOk, mmu_update(a.hv, a.guest, a.guest_mfn(12), 4, 0));
-  const HvDelta delta = a.hv.snapshot_delta(root_a);
-
-  // Machine B meanwhile took its own divergent path (bumping its private
-  // write generations and populating its digest cache)...
-  b.mem.write_slot(b.guest_mfn(5), 0, 0xdeadbeefULL);
-  (void)b.hv.state_hash();
-
-  // ...and now adopts A's state. The incremental hash must agree with the
-  // ground-truth full rehash, not just with the cached digests.
-  b.hv.restore_delta(root_b, delta, /*foreign=*/true);
-  EXPECT_EQ(delta.hash, b.hv.state_hash());
-  EXPECT_EQ(b.hv.state_hash(), b.hv.state_hash_full());
-
-  // The adopted state is behaviorally A's state: the slot A unmapped can be
-  // re-unmapped on B exactly once more semantics-wise (it is now empty, so
-  // a repeat write of zero still succeeds as a no-op update).
-  EXPECT_EQ(kOk, mmu_update(b.hv, b.guest, b.guest_mfn(12), 4, 0));
-}
-
 }  // namespace
 }  // namespace ii::hv

@@ -4,7 +4,7 @@
 //   analysis_cli [--version 4.6|4.8|4.13] [--depth N] [--domains N]
 //                [--domain-pages N] [--machine-frames N] [--grants]
 //                [--max-states N] [--max-counterexamples N] [--threads N]
-//                [--max-frontier-mb N] [--spill-dir DIR]
+//                [--spill-dir DIR [--max-frontier-mb N]]
 //                [--expect vulnerable|clean] [--allow-truncated]
 //                [--stats] [--quiet]
 //                [--profile] [--profile-wall] [--metrics-out FILE]
@@ -15,11 +15,12 @@
 // states are reachable, with a minimal counterexample trace for each
 // violating state. --threads partitions dedup admission over hash-owned
 // shards (default: hardware concurrency); the report is byte-identical at
-// any count. --max-frontier-mb bounds the resident frontier (deterministic
-// accounting); with --spill-dir set, states past the budget spill to a
-// file of their own, <dir>/frontier-XXXXXX.spill, and replay back in —
-// reports stay byte-identical with or without spilling, which is what
-// makes depth-4 runs fit in RAM.
+// any count. --max-frontier-mb caps the resident frontier (deterministic
+// accounting) and needs --spill-dir (exit 2 without it): states past the
+// cap spill to a file of their own, <dir>/frontier-XXXXXX.spill, and replay
+// back in. A capped run is serial whatever --threads says; reports stay
+// byte-identical with or without spilling, which is what makes depth-4
+// runs fit in RAM.
 //
 // --expect turns the run into a CI gate:
 //   --expect vulnerable  exit 0 iff at least one XSA class was reached
@@ -62,7 +63,7 @@ int usage() {
       "[--grants]\n"
       "                    [--max-states N] [--max-counterexamples N] "
       "[--threads N]\n"
-      "                    [--max-frontier-mb N] [--spill-dir DIR]\n"
+      "                    [--spill-dir DIR [--max-frontier-mb N]]\n"
       "                    [--expect vulnerable|clean] [--allow-truncated]\n"
       "                    [--stats] [--quiet]\n"
       "                    [--profile] [--profile-wall] [--metrics-out FILE]\n"
@@ -191,6 +192,10 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
+  }
+  if (config.max_frontier_bytes != 0 && config.spill_dir.empty()) {
+    std::fputs("analysis_cli: --max-frontier-mb needs --spill-dir\n", stderr);
+    return usage();
   }
 
   // Size the machine to the requested domains unless the user pinned it:
