@@ -309,7 +309,7 @@ class StateView {
     if (it != dirty_->end() && *it == m) {
       return ptrs_[std::size_t(it - dirty_->begin())];
     }
-    return base_->memory.data() + m * sim::kPageSize;
+    return base_->frame(m).data();
   }
   [[nodiscard]] std::uint64_t frame_u64(std::uint64_t m, unsigned slot) const {
     std::uint64_t v = 0;

@@ -34,7 +34,8 @@ enum class ValidationBranch : std::uint8_t {
   EntryBadFrame,        ///< target frame outside the machine -> EINVAL
   Xsa148PseAccepted,    ///< vulnerable L2 PSE entry accepted unvalidated
   PseRejected,          ///< hardened superpage rejection
-  EntryForeignFrame,    ///< target owned by another domain -> EPERM
+  EntryForeignFrame,    ///< target owned by another domain, or a linear
+                        ///< slot naming another table -> EPERM
   L1Writable,           ///< writable leaf: target must take Writable type
   L1ReadOnlyRef,        ///< read-only leaf: plain existence reference
   IntermediateLink,     ///< intermediate entry: child table must validate

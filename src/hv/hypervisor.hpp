@@ -259,8 +259,13 @@ class Hypervisor {
   /// captured because it never changes after construction). This is what
   /// lets the bounded model checker (src/analysis) explore the hypercall
   /// state machine by checkpoint/restore instead of replaying from boot.
+  /// Memory bytes are copied only for frames written since construction;
+  /// every other frame is zero (HvSnapshot::frame()).
   [[nodiscard]] HvSnapshot snapshot() const;
-  /// Full restore: copies every frame and makes `snap` the synced baseline.
+  /// Restore to `snap` from any state and make it the synced baseline: the
+  /// rewind of restore_delta(snap), counted as a full restore. Against an
+  /// unsynced snapshot it compares every frame's generation and copies
+  /// only the frames whose generation differs.
   void restore(const HvSnapshot& snap);
 
   /// Capture the current state as a delta against `base` (a full snapshot

@@ -267,6 +267,9 @@ long Hypervisor::validate_and_write_entry(Domain& caller, sim::Mfn table,
       return kEPERM;
     }
     // Pre-4.9 linear-page-table support: a READ-ONLY same-level self map.
+    // Only the self map is modelled (DESIGN.md §5): an entry naming any
+    // other L4 is refused, because the slot takes no type reference and
+    // would keep linking that frame after it is unpinned.
     if (!entry.present()) {
       cover(ValidationBranch::LinearSlotCleared, pi.type);
       mem_->write_slot(table, index, entry.raw());
@@ -277,7 +280,7 @@ long Hypervisor::validate_and_write_entry(Domain& caller, sim::Mfn table,
       return kEINVAL;
     }
     const PageInfo& ti = frames_.info(entry.frame());
-    if (ti.owner != caller.id() || ti.type != PageType::L4) {
+    if (entry.frame() != table) {
       cover(ValidationBranch::EntryForeignFrame, ti.type);
       return kEPERM;
     }

@@ -8,8 +8,9 @@
 // previous hash, and a memory frame's bytes are re-read only when its
 // write generation moved. Capture and rewind against the synced baseline
 // visit the Rewind logs' frames; against any other baseline they sweep
-// every frame. Generations decide which frames to copy — no byte
-// comparisons anywhere.
+// every frame's generation. Generations decide which frames to copy — no
+// byte comparisons anywhere — and a frame at kInitialGeneration is zero,
+// so neither the first hash nor a full snapshot reads it.
 #include "hv/snapshot.hpp"
 
 #include <algorithm>
@@ -26,14 +27,19 @@ namespace {
 
 using sim::DirtyReader;
 
+constexpr std::uint64_t kInitialGeneration =
+    sim::PhysicalMemory::kInitialGeneration;
+
+/// What every frame at kInitialGeneration holds.
+constexpr std::array<std::uint8_t, sim::kPageSize> kZeroFrame{};
+
 /// 64-bit FNV-1a of one frame's bytes. Not cryptographic — chosen for
 /// determinism across runs and platforms. Word-at-a-time: one 8-byte load
 /// feeding eight dependent FNV steps beats a byte load per step, and the
 /// chunk is consumed LSB-first (memory order on little-endian), so the
 /// value equals the byte-at-a-time loop's.
-std::uint64_t frame_digest(const sim::PhysicalMemory& mem, sim::Mfn mfn) {
+std::uint64_t frame_digest(std::span<const std::uint8_t> data) {
   constexpr std::uint64_t kPrime = 1099511628211ULL;
-  const std::span<const std::uint8_t> data = mem.frame_bytes(mfn);
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < data.size(); i += 8) {
     std::uint64_t w = 0;
@@ -65,7 +71,13 @@ constexpr std::uint64_t term(std::uint64_t lane, std::uint64_t mfn,
 }
 
 std::uint64_t mem_term(const sim::PhysicalMemory& mem, std::uint64_t mfn) {
-  return term(kMemLane, mfn, frame_digest(mem, sim::Mfn{mfn}));
+  return term(kMemLane, mfn, frame_digest(mem.frame_bytes(sim::Mfn{mfn})));
+}
+
+/// mem_term() of a frame at kInitialGeneration, without reading it.
+std::uint64_t zero_mem_term(std::uint64_t mfn) {
+  static const std::uint64_t digest = frame_digest(kZeroFrame);
+  return term(kMemLane, mfn, digest);
 }
 
 std::uint64_t info_term(std::uint64_t mfn, const PageInfo& pi) {
@@ -102,20 +114,22 @@ std::uint64_t next_snapshot_id() {
 
 void check_shape(const HvSnapshot& base, const sim::PhysicalMemory& mem,
                  const FrameTable& frames, const char* what) {
-  if (base.memory.size() != mem.byte_size() ||
-      base.frame_gens.size() != mem.frame_count() ||
+  if (base.frame_gens.size() != mem.frame_count() ||
       base.frames.size() != frames.frame_count()) {
     throw std::logic_error{std::string{what} +
                            ": baseline shape does not match this machine"};
   }
 }
 
-std::span<const std::uint8_t> base_frame(const HvSnapshot& base,
-                                         std::uint64_t mfn) {
-  return {base.memory.data() + mfn * sim::kPageSize, sim::kPageSize};
-}
-
 }  // namespace
+
+std::span<const std::uint8_t> HvSnapshot::frame(std::uint64_t mfn) const {
+  const auto it =
+      std::lower_bound(written_frames.begin(), written_frames.end(), mfn);
+  if (it == written_frames.end() || *it != mfn) return kZeroFrame;
+  const auto index = static_cast<std::size_t>(it - written_frames.begin());
+  return {written_bytes.data() + index * sim::kPageSize, sim::kPageSize};
+}
 
 // ------------------------------------------------------------------ digest
 
@@ -227,15 +241,26 @@ std::uint64_t Hypervisor::state_hash() const {
   };
   const std::uint64_t n = mem_->frame_count();
   if (mem_term_.size() != n) {
-    // First hash of this machine: every term starts at zero, computed at
-    // the never-observed generation 0, so every frame is recomputed once.
-    // From here on the Digest logs say which terms can have moved.
+    // First hash of this machine: every term is computed once. A frame
+    // still at kInitialGeneration is zero, so it takes the zero-frame term
+    // unread; only the frames written so far are digested. From here on
+    // the Digest logs say which terms can have moved.
     mem_term_.assign(n, 0);
     mem_term_gen_.assign(n, 0);
     info_term_.assign(n, 0);
     digest_sum_ = 0;
-    const auto all = std::views::iota(std::uint64_t{0}, n);
-    update(all, all);
+    std::vector<std::uint64_t> written;
+    for (std::uint64_t m = 0; m < n; ++m) {
+      if (mem_->frame_generation(sim::Mfn{m}) != kInitialGeneration) {
+        written.push_back(m);
+        continue;
+      }
+      ++snap_stats_.frames_visited;
+      mem_term_[m] = zero_mem_term(m);
+      mem_term_gen_[m] = kInitialGeneration;
+      digest_sum_ += mem_term_[m];
+    }
+    update(written, std::views::iota(std::uint64_t{0}, n));
   } else {
     update(mem_->dirty_frames(DirtyReader::Digest),
            frames_.dirty_frames(DirtyReader::Digest));
@@ -305,7 +330,7 @@ std::uint64_t Hypervisor::rewind_to(const HvSnapshot& base,
     while (o < overlay.size() && overlay[o] < m) ++o;
     if (o < overlay.size() && overlay[o] == m) continue;  // caller writes it
     if (mem_->frame_generation(sim::Mfn{m}) == base.frame_gens[m]) continue;
-    mem_->restore_frame(sim::Mfn{m}, base_frame(base, m), base.frame_gens[m]);
+    mem_->restore_frame(sim::Mfn{m}, base.frame(m), base.frame_gens[m]);
     ++copied;
   }
   for (const std::uint64_t m : info_set) {
@@ -352,11 +377,19 @@ void Hypervisor::restore_bookkeeping(const State& s) {
 HvSnapshot Hypervisor::snapshot() const {
   HvSnapshot snap;
   snap.id = next_snapshot_id();
-  snap.memory.resize(mem_->byte_size());
-  mem_->read(sim::Paddr{0}, snap.memory);
   const auto gens = mem_->frame_generations();
   snap.frame_gens.assign(gens.begin(), gens.end());
   snap.mem_generation = mem_->generation();
+  for (std::uint64_t m = 0; m < gens.size(); ++m) {
+    if (gens[m] == kInitialGeneration) continue;  // zero: nothing to keep
+    snap.written_frames.push_back(m);
+  }
+  snap.written_bytes.reserve(snap.written_frames.size() * sim::kPageSize);
+  for (const std::uint64_t m : snap.written_frames) {
+    const auto bytes = mem_->frame_bytes(sim::Mfn{m});
+    snap.written_bytes.insert(snap.written_bytes.end(), bytes.begin(),
+                              bytes.end());
+  }
 
   snap.frames.reserve(frames_.frame_count());
   for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
@@ -370,20 +403,8 @@ HvSnapshot Hypervisor::snapshot() const {
 void Hypervisor::restore(const HvSnapshot& snap) {
   check_shape(snap, *mem_, frames_, "HvSnapshot::restore");
   ++snap_stats_.full_restores;
-  const std::uint64_t n = mem_->frame_count();
-  snap_stats_.frames_copied += n;
-  snap_stats_.frames_visited += 2 * n;
-  // Whole-image restore re-establishes the captured (generation, contents)
-  // pairs, so digest terms cached at those generations stay valid; only
-  // entries that actually change are written, so only they are logged.
-  mem_->restore_image(snap.memory, snap.frame_gens, snap.mem_generation);
-  for (std::uint64_t m = 0; m < n; ++m) {
-    if (!(std::as_const(frames_).info(sim::Mfn{m}) == snap.frames[m])) {
-      frames_.info(sim::Mfn{m}) = snap.frames[m];
-    }
-  }
+  snap_stats_.frames_copied += rewind_to(snap, {});
   restore_bookkeeping(snap);
-  sync_rewind(snap.id);
 }
 
 // ------------------------------------------------------------------ deltas

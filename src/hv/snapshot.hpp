@@ -13,8 +13,13 @@
 // A snapshot does NOT capture boot-time constants (Xen's own tables, the
 // IDT base, default handlers, the version policy, registered sinks and
 // executors): those never change after construction, which is why a
-// snapshot may only be restored onto the Hypervisor it was taken from (or
-// one built with identical configuration).
+// snapshot may only be restored onto the Hypervisor it was taken from.
+//
+// A full snapshot stores bytes only for the frames written since the
+// machine was built: a frame still at PhysicalMemory::kInitialGeneration
+// reads as zero, so its bytes go unrecorded and HvSnapshot::frame() hands
+// out the zero frame for it. A booted machine's baseline therefore costs
+// what boot wrote, plus one generation and one PageInfo per frame.
 //
 // Incremental capture (DESIGN.md §10): a full snapshot also records the
 // physical memory's per-frame write generations at capture time. Relative
@@ -31,12 +36,14 @@
 //                                             only frames that can differ.
 // Each of these visits only the frames the machine's dirty logs recorded
 // since it was last synced to `base` (see Hypervisor's snapshot section);
-// against a baseline it is not synced to, it sweeps every frame instead.
+// against a baseline it is not synced to, it sweeps every frame's
+// generation instead. Hypervisor::restore(snap) is that same rewind.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,14 +59,23 @@ struct HvSnapshot {
   /// a snapshot must not be modified after capture.
   std::uint64_t id = 0;
 
-  /// Full physical-memory image (page tables, IDT, guest data — everything).
-  std::vector<std::uint8_t> memory;
   /// Per-frame PhysicalMemory write generation at capture time; together
-  /// with `memory` this makes "changed since this snapshot" an integer
-  /// compare per logged frame instead of an O(bytes) comparison.
+  /// with the frame bytes this makes "changed since this snapshot" an
+  /// integer compare per logged frame instead of an O(bytes) comparison.
   std::vector<std::uint64_t> frame_gens;
   /// Global PhysicalMemory generation at capture (>= every frame_gens[i]).
   std::uint64_t mem_generation = 0;
+
+  /// The frames whose bytes are stored: every frame past
+  /// kInitialGeneration at capture, ascending.
+  std::vector<std::uint64_t> written_frames;
+  /// Their bytes, one frame each in written_frames order. Read them
+  /// through frame().
+  std::vector<std::uint8_t> written_bytes;
+
+  /// Frame `mfn`'s bytes at capture time: its stored copy, or the zero
+  /// frame for a frame never written.
+  [[nodiscard]] std::span<const std::uint8_t> frame(std::uint64_t mfn) const;
 
   /// Per-frame PageInfo, index = MFN.
   std::vector<PageInfo> frames;

@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+
 namespace ii::obs {
 
 std::string to_string(TraceCategory category) {
@@ -23,23 +25,28 @@ std::string to_string(TraceCategory category) {
 }
 
 TraceRing::TraceRing(std::size_t capacity)
-    : buf_(capacity == 0 ? 1 : capacity) {}
+    : capacity_{capacity == 0 ? 1 : capacity} {}
 
-std::size_t TraceRing::size() const {
-  return total_ < buf_.size() ? static_cast<std::size_t>(total_)
-                              : buf_.size();
-}
+std::size_t TraceRing::size() const { return buf_.size(); }
 
-std::uint64_t TraceRing::overwritten() const {
-  return total_ > buf_.size() ? total_ - buf_.size() : 0;
-}
+std::uint64_t TraceRing::overwritten() const { return total_ - buf_.size(); }
 
 void TraceRing::push(const TraceEvent& event) {
-  buf_[static_cast<std::size_t>(total_ % buf_.size())] = event;
+  if (buf_.size() < capacity_) {
+    if (buf_.size() == buf_.capacity()) {  // grow geometrically, to capacity
+      buf_.reserve(std::min(capacity_, 2 * buf_.size() + 64));
+    }
+    buf_.push_back(event);
+  } else {
+    buf_[static_cast<std::size_t>(total_ % capacity_)] = event;
+  }
   ++total_;
 }
 
-void TraceRing::clear() { total_ = 0; }
+void TraceRing::clear() {
+  buf_.clear();
+  total_ = 0;
+}
 
 std::vector<TraceEvent> TraceRing::snapshot() const {
   std::vector<TraceEvent> out;
@@ -47,7 +54,7 @@ std::vector<TraceEvent> TraceRing::snapshot() const {
   out.reserve(n);
   const std::uint64_t first = total_ - n;
   for (std::uint64_t i = first; i < total_; ++i) {
-    out.push_back(buf_[static_cast<std::size_t>(i % buf_.size())]);
+    out.push_back(buf_[static_cast<std::size_t>(i % capacity_)]);
   }
   return out;
 }

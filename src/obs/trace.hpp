@@ -81,11 +81,13 @@ class BudgetExceededError : public std::runtime_error {
 
 /// Bounded ring of TraceEvents. Overflow overwrites the oldest record, like
 /// xentrace's per-cpu buffers; `overwritten()` reports how many were lost.
+/// The buffer grows with the events pushed, up to the capacity, so a ring
+/// that records nothing allocates nothing.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity);
 
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events currently held (≤ capacity).
   [[nodiscard]] std::size_t size() const;
   /// Total events ever pushed, including overwritten ones.
@@ -93,13 +95,15 @@ class TraceRing {
   [[nodiscard]] std::uint64_t overwritten() const;
 
   void push(const TraceEvent& event);
+  /// Drop every held event; the grown buffer is kept for reuse.
   void clear();
 
   /// Held events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
  private:
-  std::vector<TraceEvent> buf_;
+  std::size_t capacity_;
+  std::vector<TraceEvent> buf_;  ///< size() == min(total_, capacity_)
   std::uint64_t total_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/phys_mem.hpp"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -8,10 +9,11 @@ namespace ii::sim {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t frames)
     : frames_{frames},
-      bytes_(frames * kPageSize, 0),
-      frame_gen_(frames, 1),  // generation 0 is reserved: "never observed"
+      frame_gen_(frames, kInitialGeneration),
       log_{frames} {
   if (frames == 0) throw std::invalid_argument{"PhysicalMemory: zero frames"};
+  bytes_.reset(static_cast<std::uint8_t*>(std::calloc(frames, kPageSize)));
+  if (bytes_ == nullptr) throw std::bad_alloc{};
 }
 
 bool PhysicalMemory::contains(Paddr pa, std::uint64_t len) const {
@@ -34,26 +36,26 @@ void PhysicalMemory::mark_range_dirty(Paddr pa, std::uint64_t len) {
 
 void PhysicalMemory::read(Paddr pa, std::span<std::uint8_t> out) const {
   check_range(pa, out.size());
-  std::memcpy(out.data(), bytes_.data() + pa.raw(), out.size());
+  std::memcpy(out.data(), bytes_.get() + pa.raw(), out.size());
 }
 
 void PhysicalMemory::write(Paddr pa, std::span<const std::uint8_t> in) {
   check_range(pa, in.size());
   mark_range_dirty(pa, in.size());
-  std::memcpy(bytes_.data() + pa.raw(), in.data(), in.size());
+  std::memcpy(bytes_.get() + pa.raw(), in.data(), in.size());
 }
 
 std::uint64_t PhysicalMemory::read_u64(Paddr pa) const {
   check_range(pa, sizeof(std::uint64_t));
   std::uint64_t v = 0;
-  std::memcpy(&v, bytes_.data() + pa.raw(), sizeof v);
+  std::memcpy(&v, bytes_.get() + pa.raw(), sizeof v);
   return v;
 }
 
 void PhysicalMemory::write_u64(Paddr pa, std::uint64_t value) {
   check_range(pa, sizeof value);
   mark_range_dirty(pa, sizeof value);
-  std::memcpy(bytes_.data() + pa.raw(), &value, sizeof value);
+  std::memcpy(bytes_.get() + pa.raw(), &value, sizeof value);
 }
 
 std::uint64_t PhysicalMemory::read_slot(Mfn table, unsigned index) const {
@@ -70,12 +72,12 @@ void PhysicalMemory::write_slot(Mfn table, unsigned index,
 void PhysicalMemory::zero_frame(Mfn mfn) {
   check_range(mfn_to_paddr(mfn), kPageSize);
   mark_dirty(mfn);
-  std::memset(bytes_.data() + mfn_to_paddr(mfn).raw(), 0, kPageSize);
+  std::memset(bytes_.get() + mfn_to_paddr(mfn).raw(), 0, kPageSize);
 }
 
 std::span<const std::uint8_t> PhysicalMemory::frame_bytes(Mfn mfn) const {
   check_range(mfn_to_paddr(mfn), kPageSize);
-  return {bytes_.data() + mfn_to_paddr(mfn).raw(), kPageSize};
+  return {bytes_.get() + mfn_to_paddr(mfn).raw(), kPageSize};
 }
 
 PhysicalMemory::FrameWriteGuard PhysicalMemory::writable_frame(Mfn mfn) {
@@ -94,23 +96,10 @@ void PhysicalMemory::restore_frame(Mfn mfn, std::span<const std::uint8_t> bytes,
   if (bytes.size() != kPageSize) {
     throw std::logic_error{"restore_frame: not a whole frame"};
   }
-  std::memcpy(bytes_.data() + mfn_to_paddr(mfn).raw(), bytes.data(),
+  std::memcpy(bytes_.get() + mfn_to_paddr(mfn).raw(), bytes.data(),
               kPageSize);
   stamp(mfn.raw(), gen);
   generation_ = std::max(generation_, gen);
-}
-
-void PhysicalMemory::restore_image(std::span<const std::uint8_t> bytes,
-                                   std::span<const std::uint64_t> gens,
-                                   std::uint64_t generation) {
-  if (bytes.size() != byte_size() || gens.size() != frames_) {
-    throw std::logic_error{"restore_image: image shape mismatch"};
-  }
-  std::memcpy(bytes_.data(), bytes.data(), bytes.size());
-  for (std::uint64_t m = 0; m < frames_; ++m) {
-    if (frame_gen_[m] != gens[m]) stamp(m, gens[m]);
-  }
-  generation_ = std::max(generation_, generation);
 }
 
 }  // namespace ii::sim

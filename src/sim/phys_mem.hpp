@@ -6,28 +6,38 @@
 // the same PhysicalMemory instance, which is what makes cross-privilege
 // memory corruption observable end to end.
 //
+// Frame store: one calloc'd block, so every frame reads as zero from the
+// start. On glibc a block this large is a fresh anonymous mapping, whose
+// pages the kernel backs on first write: a frame that is never written
+// costs no resident memory and no construction time, and an access stays
+// one offset into one block.
+//
 // Write tracking: every mutation path stamps the covered frames with a
 // fresh value of a monotonically increasing generation counter. Because a
 // frame's generation changes on every write, the pair (generation,
 // contents) is unique per frame: two observations of a frame at the same
-// generation are guaranteed byte-identical. The same stamp also notes the
-// frame in a DirtyLog (sim/dirty_log.hpp), so a reader can ask which
+// generation are guaranteed byte-identical. In particular a frame still at
+// kInitialGeneration reads as zero, so the state digest and the baseline
+// snapshot (hv/snapshot.cpp) need not read it. The same stamp also notes
+// the frame in a DirtyLog (sim/dirty_log.hpp), so a reader can ask which
 // frames were written since it last synced without scanning the machine.
-// The hypervisor's state digest and its snapshot rewind (hv/snapshot.cpp)
-// are the two readers, so a PhysicalMemory serves one Hypervisor at a
-// time; DESIGN.md §10 has the model.
+// The hypervisor's state digest and its snapshot rewind are the two
+// readers, so a PhysicalMemory serves one Hypervisor at a time; DESIGN.md
+// §10 has the model.
 //
 // Mutation paths that stamp generations and feed the log: write(),
 // write_u64(), write_slot(), zero_frame(), mark_dirty(), writable_frame()
-// guards, and restore_frame() / restore_image() (which roll a frame's
-// generation *back* to a recorded value together with the bytes that were
-// captured at that value — the only paths allowed to do so).
+// guards, and restore_frame() (which rolls a frame's generation *back* to
+// a recorded value together with the bytes that were captured at that
+// value — the only path allowed to do so).
 // frame_bytes() is const-only; there is deliberately no unguarded mutable
 // view.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,6 +48,12 @@ namespace ii::sim {
 
 class PhysicalMemory {
  public:
+  /// The generation every frame starts at (0 is reserved as "never
+  /// observed"). Invariant: a frame at this generation reads as zero — it
+  /// was never written, or restore_frame() rolled it back to bytes
+  /// captured before its first write.
+  static constexpr std::uint64_t kInitialGeneration = 1;
+
   /// Create a machine with `frames` frames of 4 KiB, zero-initialized.
   explicit PhysicalMemory(std::uint64_t frames);
 
@@ -82,7 +98,7 @@ class PhysicalMemory {
     FrameWriteGuard& operator=(const FrameWriteGuard&) = delete;
 
     [[nodiscard]] std::span<std::uint8_t> bytes() {
-      return {mem_->bytes_.data() + mfn_.raw() * kPageSize, kPageSize};
+      return {mem_->bytes_.get() + mfn_.raw() * kPageSize, kPageSize};
     }
     std::uint8_t& operator[](std::uint64_t i) { return bytes()[i]; }
 
@@ -120,24 +136,17 @@ class PhysicalMemory {
   /// has seen, not the memory.
   void sync_dirty(DirtyReader reader) const { log_.sync(reader); }
 
-  // ------------------------------------------------- snapshot-engine hooks
-  // The two generation-rolling entry points below are reserved for the
-  // snapshot/restore engine (hv/snapshot.cpp): they re-establish a
+  // -------------------------------------------------- snapshot-engine hook
+  // The generation-rolling entry point below is reserved for the
+  // snapshot/restore engine (hv/snapshot.cpp): it re-establishes a
   // previously observed (generation, contents) pair, which is only sound
-  // when bytes and generation were captured together. tools/ii-lint
-  // enforces the confinement.
+  // when bytes and generation were captured together. ii_analyze's
+  // dirty-tracking rule enforces the confinement.
 
   /// Write `bytes` into `mfn` and roll its generation to `gen` (the value
   /// recorded when `bytes` were captured).
   void restore_frame(Mfn mfn, std::span<const std::uint8_t> bytes,
                      std::uint64_t gen);
-
-  /// Whole-image restore: all frames plus their recorded generations. Only
-  /// frames whose generation changes are logged as written: equal
-  /// generations already hold equal bytes.
-  void restore_image(std::span<const std::uint8_t> bytes,
-                     std::span<const std::uint64_t> gens,
-                     std::uint64_t generation);
 
  private:
   void check_range(Paddr pa, std::uint64_t len) const;
@@ -149,10 +158,14 @@ class PhysicalMemory {
     log_.note(frame);
   }
 
+  struct FreeBytes {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   std::uint64_t frames_;
-  std::vector<std::uint8_t> bytes_;
+  std::unique_ptr<std::uint8_t[], FreeBytes> bytes_;  ///< calloc'd frames
   std::vector<std::uint64_t> frame_gen_;
-  std::uint64_t generation_ = 1;  // 0 is reserved as "never observed"
+  std::uint64_t generation_ = kInitialGeneration;
   mutable DirtyLog log_;
 };
 

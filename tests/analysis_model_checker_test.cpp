@@ -163,8 +163,8 @@ TEST(ModelChecker, DeltaExplorationMatchesReplayFallbackExactly) {
     // The schemes differ exactly where they should: the delta run restores
     // deltas, the fallback restores full snapshots.
     EXPECT_GT(delta.delta_restores, 0u);
+    EXPECT_EQ(delta.full_restores, 0u);
     EXPECT_GT(replay.full_restores, 0u);
-    EXPECT_LT(delta.snapshot_frames_copied, replay.snapshot_frames_copied);
   }
 }
 

@@ -1,7 +1,8 @@
 // The shared guest-op vocabulary (hv/guest_op.hpp): the refusal of pins
-// that are not pins, the executor's injector write, and cross-driver
-// replay — every model-checker counterexample, sent through the op record
-// the fuzzer's trace files use, reaches the checker's violating state.
+// that are not pins, the executor's injector write, a checker trace
+// against the linear slot, and cross-driver replay — every model-checker
+// counterexample, sent through the op record the fuzzer's trace files
+// use, reaches the checker's violating state.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +15,8 @@
 #include "hv/errors.hpp"
 #include "hv/guest_op.hpp"
 #include "hv/hypervisor.hpp"
+#include "hv/layout.hpp"
+#include "hv/recovery.hpp"
 #include "sim/phys_mem.hpp"
 
 namespace ii::hv {
@@ -43,11 +46,33 @@ class BranchCounter final : public CoverageHook {
   void on_branch(ValidationBranch, PageType) override { ++branches; }
 };
 
+/// Remembers the last validation branch the engine reports.
+class LastBranch final : public CoverageHook {
+ public:
+  std::optional<ValidationBranch> branch;
+  void on_branch(ValidationBranch b, PageType) override { branch = b; }
+};
+
 GuestOp pin(std::uint64_t mfn, std::uint8_t level) {
   GuestOp op;
   op.kind = GuestOp::Kind::Pin;
   op.mfn = mfn;
   op.level = level;
+  return op;
+}
+
+GuestOp unpin(std::uint64_t mfn) {
+  GuestOp op;
+  op.kind = GuestOp::Kind::Unpin;
+  op.mfn = mfn;
+  return op;
+}
+
+GuestOp mmu_update(std::uint64_t table, unsigned slot, std::uint64_t pte) {
+  GuestOp op;
+  op.kind = GuestOp::Kind::MmuUpdate;
+  op.addr = sim::mfn_to_paddr(sim::Mfn{table}).raw() + 8ULL * slot;
+  op.value = pte;
   return op;
 }
 
@@ -122,6 +147,64 @@ TEST(GuestOp, ArbitraryWriteMatchesTheInjector) {
     EXPECT_EQ(apply_guest_op(stock.hv(), stock.guest(0).id(), op),
               refused.last_rc())
         << version.to_string();
+  }
+}
+
+TEST(GuestOp, LinearSlotAcceptsOnlyTheSelfMap) {
+  // The checker's four-step trace against the pre-4.9 linear slot: drop
+  // the guest's writable mapping of data page 0x2a, pin 0x2a as an L4,
+  // link it read-only into slot 258 of the active L4 0x35, unpin it. The
+  // slot takes no type reference, so accepting step 3 left it linking a
+  // frame whose type then fell to none (reserved-slot-integrity). Only
+  // the self map is modelled (DESIGN.md §5), and it stays legal where
+  // linear page tables exist, because XSA-182 starts from it.
+  constexpr std::uint64_t kData = 0x2a, kDataL1 = 0x32, kActiveL4 = 0x35;
+  constexpr std::uint64_t kUserRo = sim::Pte::kPresent | sim::Pte::kUser;
+  for (const XenVersion version : {kXen46, kXen48, kXen413}) {
+    const std::string v = version.to_string();
+    analysis::ModelCheckConfig config;
+    config.version = version;
+    CheckerMachine m{config};
+    const DomainId guest = m.guests.front();
+    ASSERT_EQ(m.vmm.domain(guest).cr3().raw(), kActiveL4) << v;
+    const sim::Pte data_map{m.mem.read_slot(sim::Mfn{kDataL1}, 4)};
+    ASSERT_TRUE(data_map.writable()) << v;
+    ASSERT_EQ(data_map.frame().raw(), kData) << v;
+    LastBranch last;
+    m.vmm.set_coverage_hook(&last);
+
+    ASSERT_EQ(apply_guest_op(m.vmm, guest, mmu_update(kDataL1, 4, 0)), kOk)
+        << v;
+    ASSERT_EQ(apply_guest_op(m.vmm, guest, pin(kData, 4)), kOk) << v;
+    const std::uint64_t link =
+        sim::Pte::make(sim::Mfn{kData}, kUserRo).raw();
+    EXPECT_EQ(apply_guest_op(m.vmm, guest,
+                             mmu_update(kActiveL4, kLinearPtSlot, link)),
+              kEPERM)
+        << v;
+    EXPECT_EQ(last.branch, version == kXen413
+                               ? ValidationBranch::ReservedSlotStrict
+                               : ValidationBranch::EntryForeignFrame)
+        << v;
+    EXPECT_EQ(m.mem.read_slot(sim::Mfn{kActiveL4}, kLinearPtSlot), 0u) << v;
+    ASSERT_EQ(apply_guest_op(m.vmm, guest, unpin(kData)), kOk) << v;
+    EXPECT_TRUE(InvariantAuditor{m.vmm}.audit().clean())
+        << v;
+
+    const std::uint64_t self =
+        sim::Pte::make(sim::Mfn{kActiveL4}, kUserRo).raw();
+    const long rc = apply_guest_op(m.vmm, guest,
+                                   mmu_update(kActiveL4, kLinearPtSlot, self));
+    if (version == kXen413) {
+      EXPECT_EQ(rc, kEPERM);
+      EXPECT_EQ(last.branch, ValidationBranch::ReservedSlotStrict);
+    } else {
+      EXPECT_EQ(rc, kOk) << v;
+      EXPECT_EQ(last.branch, ValidationBranch::LinearRoSelfMap) << v;
+      EXPECT_EQ(m.mem.read_slot(sim::Mfn{kActiveL4}, kLinearPtSlot), self)
+          << v;
+    }
+    m.vmm.set_coverage_hook(nullptr);
   }
 }
 

@@ -15,7 +15,8 @@
 // They are fuzzed with seeded generators across the three paper versions,
 // so any mutation path that skips the dirty log shows up as a hash split.
 // SnapshotCost pins the other half of the claim: hash, capture and rewind
-// do the same work on a machine eight times larger.
+// do the same work on a machine eight times larger, and so do the first
+// hash and the baseline of a freshly booted machine.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -171,6 +172,18 @@ Image image_of(const Hypervisor& hv) {
   return img;
 }
 
+/// A snapshot's memory as one dense image, every frame read through
+/// HvSnapshot::frame() (stored bytes, or zeros for a frame never written).
+std::vector<std::uint8_t> dense_memory(const HvSnapshot& snap) {
+  std::vector<std::uint8_t> out;
+  out.reserve(snap.frame_gens.size() * sim::kPageSize);
+  for (std::uint64_t m = 0; m < snap.frame_gens.size(); ++m) {
+    const auto bytes = snap.frame(m);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
 /// The first frame whose bytes or PageInfo differ, described; "" if none.
 std::string first_difference(const Image& got, const Image& want) {
   for (std::uint64_t m = 0; m < want.frames.size(); ++m) {
@@ -222,13 +235,13 @@ TEST_P(SnapshotDeltaProperty, DeltaRestoreIsByteIdenticalToFullSnapshot) {
     h.hv.restore_delta(base);
     EXPECT_EQ(h.hv.state_hash(), base.hash) << "round " << round;
     const HvSnapshot at_base = h.hv.snapshot();
-    EXPECT_EQ(at_base.memory, base.memory) << "round " << round;
+    EXPECT_EQ(dense_memory(at_base), dense_memory(base)) << "round " << round;
     EXPECT_EQ(at_base.frame_gens, base.frame_gens) << "round " << round;
 
     h.hv.restore_delta(base, delta);
     EXPECT_EQ(h.hv.state_hash(), full.hash) << "round " << round;
     const HvSnapshot rebuilt = h.hv.snapshot();
-    EXPECT_EQ(rebuilt.memory, full.memory) << "round " << round;
+    EXPECT_EQ(dense_memory(rebuilt), dense_memory(full)) << "round " << round;
     EXPECT_EQ(rebuilt.frame_gens, full.frame_gens) << "round " << round;
     EXPECT_EQ(rebuilt.frames == full.frames, true) << "round " << round;
     EXPECT_EQ(rebuilt.console, full.console) << "round " << round;
@@ -248,7 +261,9 @@ TEST_P(SnapshotDeltaProperty, DeltaAgainstWrongBaselineIsRefused) {
   }
 }
 
-Image image_of(const HvSnapshot& snap) { return {snap.memory, snap.frames}; }
+Image image_of(const HvSnapshot& snap) {
+  return {dense_memory(snap), snap.frames};
+}
 
 TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
   const auto [minor, seed] = GetParam();
@@ -472,6 +487,43 @@ TEST(SnapshotCost, WorkIsIndependentOfMachineSize) {
     EXPECT_LE(small[i].frames_visited, 16u)
         << "step " << i << ": " << describe(small[i]);
   }
+}
+
+/// Boot a machine of `frames` frames exactly as work_of_one_dirty_frame
+/// does, then take its first hash and its baseline.
+struct BootCost {
+  std::uint64_t first_hash_rehashed = 0;
+  std::uint64_t baseline_stored = 0;
+};
+
+BootCost boot_cost(std::uint64_t frames) {
+  sim::PhysicalMemory mem{frames};
+  Hypervisor hv{mem, VersionPolicy::for_version(kXen46)};
+  (void)hv.create_domain("dom0", true, 64);
+  (void)hv.create_domain("guest01", false, 128);
+  BootCost cost;
+  hv.reset_snapshot_stats();
+  const std::uint64_t first = hv.state_hash();
+  cost.first_hash_rehashed = hv.snapshot_stats().frames_rehashed;
+  EXPECT_EQ(first, hv.state_hash_full()) << frames << " frames";
+  const HvSnapshot base = hv.snapshot();
+  cost.baseline_stored = base.written_frames.size();
+  EXPECT_EQ(base.hash, first) << frames << " frames";
+  return cost;
+}
+
+TEST(SnapshotCost, FirstHashAndBaselineCostWhatBootWrote) {
+  // Boot writes the same frames on machines 8x apart, and the first hash
+  // digests and the baseline stores exactly those: every other frame is
+  // still at its initial generation, so it is zero and is neither read nor
+  // copied.
+  const BootCost small = boot_cost(4096);
+  const BootCost large = boot_cost(32768);
+  EXPECT_EQ(small.first_hash_rehashed, large.first_hash_rehashed);
+  EXPECT_EQ(small.baseline_stored, large.baseline_stored);
+  EXPECT_EQ(small.first_hash_rehashed, small.baseline_stored);
+  EXPECT_GT(small.baseline_stored, 0u);
+  EXPECT_LT(small.baseline_stored, 4096u / 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,8 @@
 // apart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hv/audit.hpp"
 #include "hv/hypervisor.hpp"
 #include "hv/layout.hpp"
@@ -128,8 +130,56 @@ TEST(Snapshot, ConsoleIsExcludedFromHash) {
 TEST(Snapshot, RejectsForeignShape) {
   Fixture f;
   HvSnapshot snap = f.hv.snapshot();
-  snap.memory.resize(snap.memory.size() + sim::kPageSize);
+  snap.frame_gens.push_back(sim::PhysicalMemory::kInitialGeneration);
   EXPECT_THROW(f.hv.restore(snap), std::logic_error);
+}
+
+TEST(Snapshot, StoresOnlyWrittenFramesAndReadsTheRestAsZero) {
+  Fixture f;
+  const HvSnapshot snap = f.hv.snapshot();
+  ASSERT_FALSE(snap.written_frames.empty());
+  EXPECT_LT(snap.written_frames.size(), f.mem.frame_count());
+  EXPECT_EQ(snap.written_bytes.size(),
+            snap.written_frames.size() * sim::kPageSize);
+  for (std::uint64_t m = 0; m < f.mem.frame_count(); ++m) {
+    const bool written = snap.frame_gens[m] !=
+                         sim::PhysicalMemory::kInitialGeneration;
+    EXPECT_EQ(written, std::binary_search(snap.written_frames.begin(),
+                                          snap.written_frames.end(), m))
+        << m;
+    const auto want = f.mem.frame_bytes(sim::Mfn{m});
+    const auto got = snap.frame(m);
+    ASSERT_EQ(got.size(), sim::kPageSize);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << m;
+  }
+
+  // A frame first written after the snapshot is rewound to zero and to
+  // its initial generation, by the sweep of an unsynced restore and by the
+  // logged rewind of a synced one.
+  std::uint64_t fresh = 0;
+  while (snap.frame_gens[fresh] != sim::PhysicalMemory::kInitialGeneration) {
+    ++fresh;
+  }
+  const sim::Paddr word = sim::mfn_to_paddr(sim::Mfn{fresh}) + 16;
+  const auto expect_rewound = [&](const char* what) {
+    EXPECT_EQ(f.mem.read_u64(word), 0u) << what;
+    EXPECT_EQ(f.mem.frame_generation(sim::Mfn{fresh}),
+              sim::PhysicalMemory::kInitialGeneration)
+        << what;
+    EXPECT_EQ(f.hv.state_hash(), snap.hash) << what;
+    EXPECT_EQ(f.hv.state_hash(), f.hv.state_hash_full()) << what;
+  };
+  f.mem.write_u64(word, 0xFEEDULL);
+  const HvSnapshot later = f.hv.snapshot();  // the logs now follow `later`
+  EXPECT_EQ(later.frame(fresh)[16], 0xED);
+  f.hv.restore(snap);
+  expect_rewound("unsynced restore");
+  f.mem.write_u64(word, 0xFEEDULL);
+  f.hv.restore(snap);
+  expect_rewound("synced restore");
+  f.hv.restore(later);
+  EXPECT_EQ(f.mem.read_u64(word), 0xFEEDULL);
+  EXPECT_EQ(f.hv.state_hash(), later.hash);
 }
 
 }  // namespace

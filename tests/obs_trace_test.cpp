@@ -2,6 +2,8 @@
 // sequence numbering, per-hypercall counters.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "obs/trace.hpp"
 
 namespace ii::obs {
@@ -48,6 +50,44 @@ TEST(TraceRing, ClearResets) {
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.recorded(), 0u);
   EXPECT_TRUE(ring.snapshot().empty());
+}
+
+TEST(TraceRing, RefillsAfterClearAndOverwritesOldestFirst) {
+  TraceRing ring{5};
+  const auto push = [&](std::uint64_t seq) {
+    ring.push(TraceEvent{seq, TraceCategory::GrantOp, 1,
+                         static_cast<std::uint32_t>(seq), 0, 0});
+  };
+  const auto seqs = [&] {
+    std::vector<std::uint64_t> out;
+    for (const TraceEvent& e : ring.snapshot()) out.push_back(e.seq);
+    return out;
+  };
+  using Seqs = std::vector<std::uint64_t>;
+
+  // Part-grown, cleared, then pushed past capacity: the ring grows to its
+  // capacity and then overwrites its oldest events.
+  for (std::uint64_t s = 0; s < 3; ++s) push(s);
+  ring.clear();
+  for (std::uint64_t s = 100; s < 107; ++s) push(s);
+  EXPECT_EQ(ring.capacity(), 5u);
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring.recorded(), 7u);
+  EXPECT_EQ(ring.overwritten(), 2u);
+  EXPECT_EQ(seqs(), (Seqs{102, 103, 104, 105, 106}));
+
+  // Wrapped, cleared, then refilled part-way and past capacity again.
+  ring.clear();
+  push(200);
+  push(201);
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.overwritten(), 0u);
+  EXPECT_EQ(seqs(), (Seqs{200, 201}));
+  for (std::uint64_t s = 202; s < 213; ++s) push(s);
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring.recorded(), 13u);
+  EXPECT_EQ(ring.overwritten(), 8u);
+  EXPECT_EQ(seqs(), (Seqs{208, 209, 210, 211, 212}));
 }
 
 TEST(TraceRing, ZeroCapacityClampsToOne) {

@@ -167,13 +167,6 @@ TEST(PhysicalMemory, DirtyLogAndRestoreFrameRollGenerationsBack) {
   EXPECT_EQ(logged(DirtyReader::Digest), (Frames{0}));
   // The global counter never rolls back.
   EXPECT_GE(mem.generation(), base[129]);
-
-  // A whole-image restore logs only the frames whose generation moves.
-  std::vector<std::uint8_t> image(mem.byte_size(), 0);
-  mem.sync_dirty(DirtyReader::Digest);
-  mem.restore_image(image, base, base[0]);
-  EXPECT_EQ(logged(DirtyReader::Digest), (Frames{129}));
-  EXPECT_EQ(mem.frame_generation(Mfn{129}), base[129]);
 }
 
 }  // namespace
