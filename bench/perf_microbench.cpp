@@ -282,8 +282,8 @@ void bench_state_hash() {
   });
 }
 
-/// Snapshot and restore, full vs delta, with one dirty frame per
-/// iteration — the checker's per-state working set.
+/// Full and delta snapshots and the delta restore, with one dirty frame
+/// per iteration — the checker's per-state working set.
 void bench_snapshot_restore() {
   auto pc = bench_config();
   guest::VirtualPlatform p{pc};
@@ -299,18 +299,13 @@ void bench_snapshot_restore() {
     (void)g.write_u64(va, ++x);
     do_not_optimize(p.hv().snapshot_delta(base));
   });
-  run_bench("restore_full", 200, [&] {
-    (void)g.write_u64(va, ++x);
-    p.hv().restore(base);
-  });
   run_bench("restore_delta", 2000, [&] {
     (void)g.write_u64(va, ++x);
     p.hv().restore_delta(base);
   });
 }
 
-/// The whole depth-2 bounded check, delta exploration vs the
-/// restore-root-and-replay fallback — the end-to-end number behind the
+/// The whole depth-2 bounded check — the end-to-end number behind the
 /// analysis_cli speedup gate.
 void bench_model_check_depth2() {
   analysis::ModelCheckConfig mc;
@@ -318,17 +313,7 @@ void bench_model_check_depth2() {
   mc.depth = 2;
   run_bench(
       "model_check_depth2", 10,
-      [&] {
-        mc.use_replay_fallback = false;
-        do_not_optimize(analysis::run_model_check(mc));
-      },
-      /*warmup=*/1);
-  run_bench(
-      "model_check_depth2_replay", 10,
-      [&] {
-        mc.use_replay_fallback = true;
-        do_not_optimize(analysis::run_model_check(mc));
-      },
+      [&] { do_not_optimize(analysis::run_model_check(mc)); },
       /*warmup=*/1);
 }
 

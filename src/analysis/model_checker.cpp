@@ -587,8 +587,8 @@ namespace {
 /// function of the item (label bytes, resident frame count, bookkeeping
 /// overrides), never of allocator behavior — so spill decisions are
 /// reproducible and peak_frontier_bytes is a cmp-stable statistic.
-/// `resident_frames` is the delta dirty count for the serial queue and the
-/// owned-block count for a CoW node.
+/// The serial queue holds prefixes, so it passes no frames; a CoW node
+/// passes its owned blocks and changed PageInfo entries.
 std::uint64_t frontier_item_cost(const std::vector<Step>& prefix,
                                  std::uint64_t resident_frames,
                                  std::uint64_t page_infos) {
@@ -804,92 +804,75 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
     }
   }
 
-  // Each queued state carries its delta against the root, so expansion is
-  // one delta-restore (O(dirty frames)) instead of restore-root-and-replay
-  // (O(machine) + prefix re-execution). The replay fallback preserves the
-  // old scheme; both must produce identical results.
+  // A queued state is its op prefix and its hash: popping one rewinds to
+  // the root and replays the prefix, since replay is the portable encoding
+  // of a state. The parent's delta is captured once per expansion and
+  // serves the rewinds between its children and their violation diffs.
   //
   // Resident items are bounded by max_frontier_bytes of frontier_item_cost:
   // a state that would push the resident total past the budget is queued
   // as a stub instead, its prefix and hash appended to the spill file.
-  // Stubs pop in append order, and popping one replays its prefix from the
-  // root — replay is the portable encoding of a state.
+  // Stubs pop in append order and read their record back; from there they
+  // take the resident path, so spilling changes no engine work.
   struct WorkItem {
     std::vector<Step> prefix;
-    hv::HvDelta delta;  ///< state vs root (unused by the replay fallback)
+    std::uint64_t hash = 0;
     std::uint64_t cost = 0;  ///< frontier_item_cost; 0 for a stub
     bool spilled = false;    ///< a stub: prefix and hash are in the spill
   };
   SpillFile spill{config.spill_dir};
   std::uint64_t replayed_ops = 0;
   std::deque<WorkItem> queue;
-  queue.push_back(WorkItem{{}, vmm.snapshot_delta(root), 0, false});
-  queue.back().cost = frontier_item_cost(queue.back().prefix,
-                                         queue.back().delta.mem_frames.size(),
-                                         queue.back().delta.frames.size());
+  queue.push_back(WorkItem{{}, root.hash, frontier_item_cost({}, 0, 0), false});
   std::uint64_t frontier_bytes = queue.back().cost;
   result.peak_frontier_bytes = frontier_bytes;
+  // BFS levels: the queue holds the rest of `level`, then the level below,
+  // so a stub's depth is known before its record is read.
+  unsigned level = 0;
+  std::size_t level_left = 1;
 
   obs::SpanProfiler* const prof = config.profiler;
   bool stop = false;
   while (!queue.empty() && !stop) {
+    if (level_left == 0) {
+      ++level;
+      level_left = queue.size();
+    }
+    --level_left;
     WorkItem item = std::move(queue.front());
     queue.pop_front();
     frontier_bytes -= item.cost;
-    std::uint64_t spilled_hash = 0;
-    if (item.spilled) {
-      SpillRecord rec = spill.read_next();
-      item.prefix = std::move(rec.prefix);
-      spilled_hash = rec.hash;
-    }
-    if (item.prefix.size() >= config.depth) continue;  // a depth-0 root
+    if (level >= config.depth) continue;  // a depth-0 root
     // Depth of the states this parent generates ("d1" = first op applied).
-    const unsigned depth = static_cast<unsigned>(item.prefix.size()) + 1;
+    const unsigned depth = level + 1;
     const std::string dname =
         prof != nullptr ? "d" + std::to_string(depth) : std::string{};
+    if (item.spilled) {
+      const obs::ScopedSpan read_span{
+          prof, {obs::kSpanCheck, dname, obs::kSpanSpill},
+          obs::SpanKind::Sched};
+      SpillRecord rec = spill.read_next();
+      item.prefix = std::move(rec.prefix);
+      item.hash = rec.hash;
+      ++result.frontier_spill_reloads;
+    }
     if (config.status != nullptr) {
       config.status->checker_depth(depth, queue.size() + 1);
       config.status->checker_progress(result.states_explored,
                                       result.violations_found);
     }
 
-    if (item.spilled) {
-      // Reload: rewind to the root, replay the recorded prefix, check it
-      // lands on the recorded state, and capture the delta again.
-      const obs::ScopedSpan reload_span{
-          prof, {obs::kSpanCheck, dname, obs::kSpanSpill}, obs::SpanKind::Sched};
-      (void)vmm.restore_delta(root);
-      for (const Step& step : item.prefix) {
-        (void)hv::apply_guest_op(vmm, step.caller, step.op);
-      }
-      replayed_ops += item.prefix.size();
-      ++result.frontier_spill_reloads;
-      if (vmm.state_hash() != spilled_hash) {
-        throw std::logic_error{
-            "model checker: spill replay diverged from its capture"};
-      }
-      item.delta = vmm.snapshot_delta(root);
+    (void)vmm.restore_delta(root);
+    for (const Step& step : item.prefix) {
+      (void)hv::apply_guest_op(vmm, step.caller, step.op);
     }
-    hv::HvSnapshot parent_full;  // replay fallback only
-    if (config.use_replay_fallback) {
-      vmm.restore(root);
-      for (const Step& step : item.prefix) {
-        (void)hv::apply_guest_op(vmm, step.caller, step.op);
-      }
-      parent_full = vmm.snapshot();
-      item.delta = vmm.snapshot_delta(root);
-    } else if (!item.spilled) {
-      (void)vmm.restore_delta(root, item.delta);
-    }
-    const hv::HvDelta& parent_delta = item.delta;
+    replayed_ops += item.prefix.size();
+    const hv::HvDelta parent_delta = vmm.snapshot_delta(root);
     const std::uint64_t parent_hash = parent_delta.hash;
-    const auto restore_parent = [&] {
-      if (config.use_replay_fallback) {
-        vmm.restore(parent_full);
-      } else {
-        (void)vmm.restore_delta(root, parent_delta);
-      }
-    };
+    if (parent_hash != item.hash) {
+      throw std::logic_error{
+          "model checker: prefix replay diverged from the queued state"};
+    }
 
     const std::vector<Step> alphabet =
         enumerate_ops(vmm, config, machine.guests);
@@ -906,7 +889,7 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
       }
       if (!visited.owner_insert(visited.shard_of(h), h)) {
         ++result.states_deduped;
-        restore_parent();
+        (void)vmm.restore_delta(root, parent_delta);
         continue;
       }
       ++result.states_explored;
@@ -923,14 +906,9 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
         record_violation(parent_delta, trace, h, walk, std::move(report));
       } else if (depth < config.depth) {
         // A clean state at the depth bound is never expanded, so it is
-        // audited above but never captured or queued.
-        WorkItem child{std::move(trace),
-                       config.use_replay_fallback ? hv::HvDelta{}
-                                                  : vmm.snapshot_delta(root),
-                       0, false};
-        child.cost = frontier_item_cost(child.prefix,
-                                        child.delta.mem_frames.size(),
-                                        child.delta.frames.size());
+        // audited above but never queued.
+        WorkItem child{std::move(trace), h, 0, false};
+        child.cost = frontier_item_cost(child.prefix, 0, 0);
         if (config.max_frontier_bytes != 0 &&
             frontier_bytes + child.cost > config.max_frontier_bytes) {
           const obs::ScopedSpan spill_span{
@@ -938,7 +916,7 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
               obs::SpanKind::Sched};
           spill.append(child.prefix, h);
           ++result.frontier_spilled_items;
-          child = WorkItem{{}, {}, 0, true};
+          child = WorkItem{{}, 0, 0, true};
         } else {
           frontier_bytes += child.cost;
           result.peak_frontier_bytes =
@@ -951,7 +929,7 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
         stop = true;
         break;
       }
-      restore_parent();
+      (void)vmm.restore_delta(root, parent_delta);
     }
     if (prof != nullptr && parent_applied != 0) {
       prof->add({obs::kSpanCheck, dname, obs::kSpanExpand}, 1, parent_applied);
@@ -966,7 +944,6 @@ ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
   result.snapshot_frames_copied = stats.frames_copied;
   result.hash_frames_rehashed = stats.frames_rehashed;
   result.delta_restores = stats.delta_restores;
-  result.full_restores = stats.full_restores;
   result.cow_captures = stats.cow_captures;
   result.cow_frames_copied = stats.cow_frames_copied;
   result.cow_frames_shared = stats.cow_frames_shared;
@@ -1441,7 +1418,6 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   result.snapshot_frames_copied = total.frames_copied;
   result.hash_frames_rehashed = total.frames_rehashed;
   result.delta_restores = total.delta_restores;
-  result.full_restores = total.full_restores;
   result.cow_captures = total.cow_captures;
   result.cow_frames_copied = total.cow_frames_copied;
   result.cow_frames_shared = total.cow_frames_shared;
@@ -1466,9 +1442,7 @@ ModelCheckResult run_model_check(const ModelCheckConfig& config) {
   threads = std::min(threads, 32u);
   // The serial BFS owns the spillable frontier, so a budgeted run is
   // serial; the report is byte-identical either way.
-  if (config.use_replay_fallback || config.max_frontier_bytes != 0) {
-    threads = 1;
-  }
+  if (config.max_frontier_bytes != 0) threads = 1;
   if (config.status != nullptr) config.status->checker_begin();
   ModelCheckResult result;
   {
@@ -1537,8 +1511,8 @@ std::string render_report(const ModelCheckResult& r) {
 std::string render_engine_stats(const ModelCheckResult& r) {
   std::string out =
       "snapshot engine (" + std::to_string(r.threads_used) +
-      " worker(s)): " + std::to_string(r.delta_restores) + " delta + " +
-      std::to_string(r.full_restores) + " full restores, frames copied " +
+      " worker(s)): " + std::to_string(r.delta_restores) +
+      " delta restores, frames copied " +
       std::to_string(r.snapshot_frames_copied) + ", frame digests redone " +
       std::to_string(r.hash_frames_rehashed) + "\n";
   out += "cow forest: " + std::to_string(r.cow_captures) + " captures, " +

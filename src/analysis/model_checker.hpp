@@ -12,13 +12,15 @@
 // type transitions — and audits every reachable state against all nine
 // InvariantAuditor invariants.
 //
-// Exploration is breadth-first over snapshot/restore (hv/snapshot.hpp)
-// with Hypervisor::state_hash() as the dedup key and a FIFO work queue, so
-// runs are deterministic and every counterexample trace is minimal (no
-// shorter operation sequence reaches that violating state). Violating
-// states are terminal: the checker reports the op sequence, the violated
-// invariants, and a state diff against the parent state, then does not
-// expand further.
+// Exploration is breadth-first with Hypervisor::state_hash() as the dedup
+// key and a FIFO work queue, so runs are deterministic and every
+// counterexample trace is minimal (no shorter operation sequence reaches
+// that violating state). A queued state is its op prefix and its hash:
+// expanding it rewinds to the root snapshot, replays the prefix and checks
+// the hash, then applies each op and rewinds to the parent by delta
+// (hv/snapshot.hpp). Violating states are terminal: the checker reports
+// the op sequence, the violated invariants, and a state diff against the
+// parent state, then does not expand further.
 //
 // The intended theorem, checked by tests and CI: under the 4.6 policy the
 // bounded space reaches the paper's XSA erroneous states (XSA-148 superpage
@@ -74,32 +76,27 @@ struct ModelCheckConfig {
   /// always serial, whatever this says.
   unsigned threads = 1;
   /// Ceiling on resident frontier bytes (deterministic accounting: op-prefix
-  /// labels + delta frames + fixed per-item overhead). 0 = unbounded. A
-  /// state that would push the queued total past it spills to spill_dir,
-  /// which must then be set (run_model_check throws otherwise). Spilling
-  /// runs use the serial BFS (DESIGN.md §9).
+  /// labels + fixed per-item overhead). 0 = unbounded. A state that would
+  /// push the queued total past it spills to spill_dir, which must then be
+  /// set (run_model_check throws otherwise). Spilling runs use the serial
+  /// BFS (DESIGN.md §9).
   std::uint64_t max_frontier_bytes = 0;
   /// Directory for the frontier spill file (created by the caller). The
   /// file gets a unique name (frontier-XXXXXX.spill), so concurrent checks
-  /// may share the directory, and is deleted when the check ends. Spilled
-  /// states store their op prefix + expected hash and are re-derived by
-  /// replay on reload — reports are byte-identical with or without
-  /// spilling; only the extra replay applications differ (ops_executed).
+  /// may share the directory, and is deleted when the check ends. A spilled
+  /// state is the record a resident one holds — its op prefix and expected
+  /// hash — written to the file and read back when it pops. Spilling adds
+  /// no engine work: reports and every counter except the frontier peak and
+  /// the spill counters match the resident run's.
   std::string spill_dir;
-  /// Use the pre-delta exploration scheme (one full snapshot per expanded
-  /// state, re-derive queued states by restoring the root and replaying the
-  /// op prefix) instead of delta snapshot/restore. Kept for cross-checking:
-  /// both schemes must produce identical results — tests diff them.
-  /// Forces serial exploration.
-  bool use_replay_fallback = false;
   /// Optional telemetry, both null by default (instrumentation then costs
   /// one branch per site). The profiler receives deterministic per-depth
   /// check/dN/{expand,audit} spans whose counts and steps are identical at
   /// any thread count — the serial driver records them directly, the
   /// sharded driver recomputes the serial tallies from its per-parent scan
   /// records — plus Sched-kind engine phases (wall-only): the sharded
-  /// engine's per-worker produce/admit/settle and the serial BFS's spill
-  /// writes and reloads. The board receives live depth / frontier /
+  /// engine's per-worker produce/admit/settle and the serial BFS's
+  /// spill-file writes and reads. The board receives live depth / frontier /
   /// states-explored updates for the /status endpoint. Single run per
   /// profiler: spans accumulate.
   obs::SpanProfiler* profiler = nullptr;
@@ -168,16 +165,18 @@ struct ModelCheckResult {
   std::uint64_t snapshot_frames_copied = 0;  ///< frames written by restores
   std::uint64_t hash_frames_rehashed = 0;    ///< frame digests recomputed
   std::uint64_t delta_restores = 0;
+  /// Always 0: every rewind is a delta restore. Kept for perfbench, which
+  /// reads it.
   std::uint64_t full_restores = 0;
   std::uint64_t cow_captures = 0;            ///< CoW forest nodes captured
   std::uint64_t cow_frames_copied = 0;       ///< frames materialized as blocks
   std::uint64_t cow_frames_shared = 0;       ///< frames aliased from a parent
 
   /// Frontier accounting. `ops_executed` counts actual op applications on
-  /// any machine — enumeration plus spill-replay reloads — and equals
-  /// ops_applied exactly when nothing spills and the run is not truncated.
-  /// Kept out of render_report so reports stay byte-identical with or
-  /// without spilling.
+  /// any machine. The serial BFS adds each expanded state's prefix replay
+  /// to the enumeration (ops_applied), spilled or not; the sharded engine
+  /// restores CoW nodes and replays nothing. Kept out of render_report
+  /// because it differs between the engines.
   std::uint64_t ops_executed = 0;
   std::uint64_t peak_frontier_bytes = 0;     ///< deterministic accounting
   std::uint64_t frontier_spilled_items = 0;  ///< states written to the spill
@@ -212,8 +211,10 @@ struct ModelCheckResult {
 /// Engine work summary (restores, frames copied, digests redone, CoW
 /// forest sharing, frontier peak/spill, shard occupancy). Kept out of
 /// render_report: with multiple workers each machine restores from
-/// whatever state it last held, and spilling changes replay work, so these
-/// counters — and only these — vary with configuration and scheduling.
+/// whatever state it last held, the engines differ in replay and capture
+/// work, and the frontier budget sets the peak and the spill counters, so
+/// these counters — and only these — vary with configuration and
+/// scheduling.
 [[nodiscard]] std::string render_engine_stats(const ModelCheckResult& result);
 
 /// CI-gate verdict shared by analysis_cli --expect and the preflight tests.

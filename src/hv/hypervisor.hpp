@@ -56,10 +56,9 @@ struct SnapshotStats {
   /// to the generation it was computed at).
   std::uint64_t frames_hash_cached = 0;
   /// Memory frames plus PageInfo entries that hashes, captures and rewinds
-  /// examined: the dirty logs' entries, or every frame on a full hash, a
-  /// full restore, or a capture or rewind against an unsynced baseline.
+  /// examined: the dirty logs' entries, or every frame on a full hash or
+  /// on a capture or rewind against an unsynced baseline.
   std::uint64_t frames_visited = 0;
-  std::uint64_t full_restores = 0;
   std::uint64_t delta_restores = 0;    ///< both restore_delta overloads
   std::uint64_t frames_copied = 0;     ///< frames written by restores
   std::uint64_t delta_snapshots = 0;
@@ -76,7 +75,6 @@ struct SnapshotStats {
     frames_rehashed += o.frames_rehashed;
     frames_hash_cached += o.frames_hash_cached;
     frames_visited += o.frames_visited;
-    full_restores += o.full_restores;
     delta_restores += o.delta_restores;
     frames_copied += o.frames_copied;
     delta_snapshots += o.delta_snapshots;
@@ -246,27 +244,22 @@ class Hypervisor {
   // paths read the logs.
   //
   // Rewinds and captures are O(dirty) against the *synced* baseline: the
-  // snapshot most recently taken by snapshot(), installed by restore(), or
-  // rewound to by restore_delta / restore_cow. Against any other snapshot
-  // they stay correct but sweep every frame, and a restore then makes its
-  // target the synced baseline.
+  // snapshot most recently taken by snapshot() or rewound to by
+  // restore_delta / restore_cow. Against any other snapshot they stay
+  // correct but sweep every frame, and a restore then makes its target the
+  // synced baseline.
 
   /// Capture the complete mutable machine state — physical memory image,
   /// frame table (incl. allocator), domains, grant and event-channel state,
   /// liveness flags — as a value, and make it the synced baseline. A
   /// snapshot is only valid for restoring onto the *same* Hypervisor
   /// instance (boot-time layout — xen tables, IDT base, policy — is not
-  /// captured because it never changes after construction). This is what
-  /// lets the bounded model checker (src/analysis) explore the hypercall
-  /// state machine by checkpoint/restore instead of replaying from boot.
+  /// captured because it never changes after construction). The bounded
+  /// model checker (src/analysis) rewinds to one such root instead of
+  /// rebooting.
   /// Memory bytes are copied only for frames written since construction;
   /// every other frame is zero (HvSnapshot::frame()).
   [[nodiscard]] HvSnapshot snapshot() const;
-  /// Restore to `snap` from any state and make it the synced baseline: the
-  /// rewind of restore_delta(snap), counted as a full restore. Against an
-  /// unsynced snapshot it compares every frame's generation and copies
-  /// only the frames whose generation differs.
-  void restore(const HvSnapshot& snap);
 
   /// Capture the current state as a delta against `base` (a full snapshot
   /// previously taken from this machine): only frames written since the
@@ -274,8 +267,10 @@ class Hypervisor {
   /// full. No byte comparisons.
   [[nodiscard]] HvDelta snapshot_delta(const HvSnapshot& base) const;
 
-  /// Restore back to `base`, copying only frames written since it was
-  /// taken. Byte-identical to restore(base). Returns frames copied.
+  /// Restore back to `base` from any state and make it the synced
+  /// baseline, copying only frames written since it was taken. Against an
+  /// unsynced snapshot it compares every frame's generation and copies
+  /// only the frames whose generation differs. Returns frames copied.
   std::uint64_t restore_delta(const HvSnapshot& base);
 
   /// Restore to the state `delta` describes (captured against `base` on

@@ -400,13 +400,6 @@ HvSnapshot Hypervisor::snapshot() const {
   return snap;
 }
 
-void Hypervisor::restore(const HvSnapshot& snap) {
-  check_shape(snap, *mem_, frames_, "HvSnapshot::restore");
-  ++snap_stats_.full_restores;
-  snap_stats_.frames_copied += rewind_to(snap, {});
-  restore_bookkeeping(snap);
-}
-
 // ------------------------------------------------------------------ deltas
 
 HvDelta Hypervisor::snapshot_delta(const HvSnapshot& base) const {

@@ -6,9 +6,8 @@
 // — can mutate is plain data: the memory image, the frame table, the
 // domains, grant and event-channel bookkeeping, and the liveness flags.
 // HvSnapshot captures exactly that set as a value, so the bounded model
-// checker (src/analysis) can push a state on its work queue, explore one
-// successor, and restore; and tests can assert byte-precise state
-// equivalence after restore.
+// checker (src/analysis) can rewind to its root instead of rebooting, and
+// tests can assert byte-precise state equivalence after a rewind.
 //
 // A snapshot does NOT capture boot-time constants (Xen's own tables, the
 // IDT base, default handlers, the version policy, registered sinks and
@@ -37,7 +36,7 @@
 // Each of these visits only the frames the machine's dirty logs recorded
 // since it was last synced to `base` (see Hypervisor's snapshot section);
 // against a baseline it is not synced to, it sweeps every frame's
-// generation instead. Hypervisor::restore(snap) is that same rewind.
+// generation instead.
 #pragma once
 
 #include <array>

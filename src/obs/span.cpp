@@ -26,7 +26,7 @@ constexpr std::array kSpanNameTable{
     SpanNameEntry{kSpanProduce, "parallel expand: apply ops, capture CoW children"},
     SpanNameEntry{kSpanAdmit, "owner-shard admission over candidate inboxes"},
     SpanNameEntry{kSpanSettle, "parallel audit of admitted states + assembly"},
-    SpanNameEntry{kSpanSpill, "frontier spill writes and replay reloads"},
+    SpanNameEntry{kSpanSpill, "frontier spill-file writes and reads"},
     SpanNameEntry{kSpanCell, "one campaign cell (use case x version x mode)"},
     SpanNameEntry{kSpanAcquire, "platform acquisition (pool lease or boot)"},
     SpanNameEntry{kSpanRestore, "rewind platform to the boot baseline"},

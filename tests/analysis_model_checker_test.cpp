@@ -133,41 +133,6 @@ TEST(ModelChecker, MaxStatesTruncates) {
   EXPECT_LE(result.states_explored, 21u);  // may finish the expansion step
 }
 
-TEST(ModelChecker, DeltaExplorationMatchesReplayFallbackExactly) {
-  // The delta-restore scheme is a pure optimization: against the
-  // snapshot-root-and-replay fallback it must agree on every externally
-  // visible result, down to counterexample traces, hashes and diffs.
-  for (const hv::XenVersion version : {hv::kXen46, hv::kXen48}) {
-    auto config = config_for(version, 2, /*grants=*/version == hv::kXen48);
-    config.use_replay_fallback = false;
-    const auto delta = run_model_check(config);
-    config.use_replay_fallback = true;
-    const auto replay = run_model_check(config);
-
-    EXPECT_EQ(delta.states_explored, replay.states_explored);
-    EXPECT_EQ(delta.ops_applied, replay.ops_applied);
-    EXPECT_EQ(delta.states_deduped, replay.states_deduped);
-    EXPECT_EQ(delta.failed_ops, replay.failed_ops);
-    EXPECT_EQ(delta.violations_found, replay.violations_found);
-    EXPECT_EQ(delta.invariant_hits, replay.invariant_hits);
-    EXPECT_EQ(delta.class_hits, replay.class_hits);
-    ASSERT_EQ(delta.counterexamples.size(), replay.counterexamples.size());
-    for (std::size_t i = 0; i < delta.counterexamples.size(); ++i) {
-      const auto& a = delta.counterexamples[i];
-      const auto& b = replay.counterexamples[i];
-      EXPECT_EQ(a.trace_string(), b.trace_string()) << i;
-      EXPECT_EQ(a.state_hash, b.state_hash) << i;
-      EXPECT_EQ(a.state_diff, b.state_diff) << i;
-      EXPECT_EQ(a.violated == b.violated, true) << i;
-    }
-    // The schemes differ exactly where they should: the delta run restores
-    // deltas, the fallback restores full snapshots.
-    EXPECT_GT(delta.delta_restores, 0u);
-    EXPECT_EQ(delta.full_restores, 0u);
-    EXPECT_GT(replay.full_restores, 0u);
-  }
-}
-
 TEST(ModelChecker, RenderReportMentionsEveryClass) {
   const auto result = run_model_check(config_for(hv::kXen46, 1));
   const std::string report = render_report(result);
@@ -261,10 +226,9 @@ TEST(ModelChecker, RandomizedConfigsMatchSerialProperty) {
 
 TEST(ModelChecker, SpillingPreservesTheReportExactly) {
   // Force the frontier through the spill file with a budget far below the
-  // depth-2/3 frontier size: every externally visible result must match
-  // the unbounded run, and only ops_executed may grow (replay reloads).
-  // The two-guest case carries steps of a second caller through the spill
-  // records.
+  // depth-3 frontier size: every externally visible result must match the
+  // unbounded run. The two-guest case carries steps of a second caller
+  // through the spill records.
   for (const unsigned guests : {1u, 2u}) {
     SCOPED_TRACE(std::to_string(guests) + " guest(s)");
     auto config = config_for(hv::kXen46, 3);
@@ -291,16 +255,23 @@ TEST(ModelChecker, SpillingPreservesTheReportExactly) {
     EXPECT_EQ(unbounded.shard_occupancy, spilled.shard_occupancy);
     EXPECT_GE(spilled.ops_executed, spilled.ops_applied);
 
-    // Acceptance bound: at a budget that keeps a useful fraction of the
-    // frontier resident (the intended operating point, not the
-    // pathological everything-spills one above), replay reloads stay
-    // within 5% of the real enumeration work.
-    config.max_frontier_bytes = 256 * 1024;
+    // A spilled state is the record a resident one holds, read back from
+    // the file, so spilling adds no engine work: under a budget that keeps
+    // part of the frontier resident, the run does exactly what its serial
+    // resident twin does.
+    config.threads = 1;
+    config.max_frontier_bytes = 0;
+    const auto resident = run_model_check(config);
+    config.max_frontier_bytes = 64 * 1024;
+    ASSERT_LT(config.max_frontier_bytes, resident.peak_frontier_bytes);
     const auto bounded = run_model_check(config);
+    EXPECT_TRUE(spill_dir_empty(config.spill_dir));
     EXPECT_GT(bounded.frontier_spilled_items, 0u);
-    EXPECT_EQ(render_report(unbounded), render_report(bounded));
-    EXPECT_GE(bounded.ops_executed, bounded.ops_applied);
-    EXPECT_LE(bounded.ops_executed, bounded.ops_applied * 105 / 100);
+    EXPECT_EQ(render_report(resident), render_report(bounded));
+    EXPECT_EQ(bounded.ops_executed, resident.ops_executed);
+    EXPECT_EQ(bounded.hash_frames_rehashed, resident.hash_frames_rehashed);
+    EXPECT_EQ(bounded.snapshot_frames_copied, resident.snapshot_frames_copied);
+    EXPECT_EQ(bounded.delta_restores, resident.delta_restores);
   }
 }
 
@@ -338,7 +309,8 @@ TEST(ModelChecker, SpillingRunStaysWithinItsFrontierBudget) {
   const auto resident = run_model_check(config);
   ASSERT_FALSE(resident.truncated);
 
-  config.max_frontier_bytes = 1024 * 1024;
+  config.max_frontier_bytes = 128 * 1024;
+  ASSERT_LT(config.max_frontier_bytes, resident.peak_frontier_bytes);
   config.spill_dir = own_spill_dir("SpillingRunStaysWithinItsFrontierBudget");
   const auto spilled = run_model_check(config);
   EXPECT_TRUE(spill_dir_empty(config.spill_dir));
@@ -346,6 +318,38 @@ TEST(ModelChecker, SpillingRunStaysWithinItsFrontierBudget) {
   EXPECT_LE(spilled.peak_frontier_bytes, config.max_frontier_bytes);
   EXPECT_EQ(spilled.frontier_spill_reloads, spilled.frontier_spilled_items);
   EXPECT_EQ(render_report(resident), render_report(spilled));
+}
+
+TEST(ModelChecker, ReplayWorkIsThePrefixOfEveryExpandedState) {
+  // A queued state is its op prefix: expanding a depth-(N-1) parent first
+  // replays its N-1 ops from the root, and nothing else is replayed. The
+  // deterministic profile counts the parents expanded per depth, so the
+  // replay work is known exactly.
+  for (const unsigned depth : {3u, 4u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    auto config = config_for(hv::kXen46, depth);
+    obs::SpanProfiler prof;
+    config.profiler = &prof;
+    const auto result = run_model_check(config);
+    ASSERT_FALSE(result.truncated);
+    std::uint64_t prefix_ops = 0;
+    const obs::SpanNode& check = *prof.root().children.at("check");
+    for (unsigned n = 1; n <= depth; ++n) {
+      const obs::SpanNode& level = *check.children.at("d" + std::to_string(n));
+      prefix_ops += (n - 1) * level.children.at("expand")->count;
+    }
+    EXPECT_GT(prefix_ops, 0u);
+    EXPECT_EQ(result.ops_executed - result.ops_applied, prefix_ops);
+  }
+}
+
+TEST(ModelChecker, ResidentFrontierHoldsPrefixesNotFrames) {
+  // A queued state holds its op prefix and no frame bytes, so with no
+  // budget the depth-4 frontier stays under a megabyte.
+  const auto result = run_model_check(config_for(hv::kXen46, 4));
+  ASSERT_FALSE(result.truncated);
+  EXPECT_EQ(result.frontier_spilled_items, 0u);
+  EXPECT_LT(result.peak_frontier_bytes, 1024u * 1024u);
 }
 
 TEST(ModelChecker, TruncatedCleanRunFailsTheExpectation) {

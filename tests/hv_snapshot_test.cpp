@@ -57,7 +57,7 @@ TEST(Snapshot, RestoreRoundTripsEverything) {
   f.mem.write_slot(f.guest_mfn(5), 0, 0xdeadbeefULL);
   EXPECT_NE(snap.hash, f.hv.state_hash());
 
-  f.hv.restore(snap);
+  (void)f.hv.restore_delta(snap);
   EXPECT_EQ(snap.hash, f.hv.state_hash());
   // And the restored state behaves like the original: the unmapped slot is
   // mapped again, so a second unmap still succeeds.
@@ -69,7 +69,7 @@ TEST(Snapshot, RestoreRevertsCrashFlags) {
   const HvSnapshot snap = f.hv.snapshot();
   f.hv.panic("test-induced");
   EXPECT_TRUE(f.hv.crashed());
-  f.hv.restore(snap);
+  (void)f.hv.restore_delta(snap);
   EXPECT_FALSE(f.hv.crashed());
   EXPECT_EQ(snap.hash, f.hv.state_hash());
 }
@@ -123,7 +123,7 @@ TEST(Snapshot, ConsoleIsExcludedFromHash) {
   const HvSnapshot snap = f.hv.snapshot();
   const std::size_t lines = f.hv.console().size();
   f.hv.log("post-snapshot line");
-  f.hv.restore(snap);
+  (void)f.hv.restore_delta(snap);
   EXPECT_EQ(lines, f.hv.console().size());
 }
 
@@ -131,7 +131,7 @@ TEST(Snapshot, RejectsForeignShape) {
   Fixture f;
   HvSnapshot snap = f.hv.snapshot();
   snap.frame_gens.push_back(sim::PhysicalMemory::kInitialGeneration);
-  EXPECT_THROW(f.hv.restore(snap), std::logic_error);
+  EXPECT_THROW((void)f.hv.restore_delta(snap), std::logic_error);
 }
 
 TEST(Snapshot, StoresOnlyWrittenFramesAndReadsTheRestAsZero) {
@@ -172,12 +172,12 @@ TEST(Snapshot, StoresOnlyWrittenFramesAndReadsTheRestAsZero) {
   f.mem.write_u64(word, 0xFEEDULL);
   const HvSnapshot later = f.hv.snapshot();  // the logs now follow `later`
   EXPECT_EQ(later.frame(fresh)[16], 0xED);
-  f.hv.restore(snap);
+  (void)f.hv.restore_delta(snap);
   expect_rewound("unsynced restore");
   f.mem.write_u64(word, 0xFEEDULL);
-  f.hv.restore(snap);
+  (void)f.hv.restore_delta(snap);
   expect_rewound("synced restore");
-  f.hv.restore(later);
+  (void)f.hv.restore_delta(later);
   EXPECT_EQ(f.mem.read_u64(word), 0xFEEDULL);
   EXPECT_EQ(f.hv.state_hash(), later.hash);
 }

@@ -16,11 +16,12 @@
 // violating state. --threads partitions dedup admission over hash-owned
 // shards (default: hardware concurrency); the report is byte-identical at
 // any count. --max-frontier-mb caps the resident frontier (deterministic
-// accounting) and needs --spill-dir (exit 2 without it): states past the
-// cap spill to a file of their own, <dir>/frontier-XXXXXX.spill, and replay
-// back in. A capped run is serial whatever --threads says; reports stay
-// byte-identical with or without spilling, which is what makes depth-4
-// runs fit in RAM.
+// accounting of the queued op prefixes) and needs --spill-dir (exit 2
+// without it): the records of states past the cap go to a file of their
+// own, <dir>/frontier-XXXXXX.spill, and are read back when they pop. A
+// capped run is serial whatever --threads says; its report and engine
+// work are those of the uncapped serial run. Numeric flags take a decimal
+// number that fits the setting (exit 2 otherwise).
 //
 // --expect turns the run into a CI gate:
 //   --expect vulnerable  exit 0 iff at least one XSA class was reached
@@ -39,8 +40,8 @@
 //   --chrome-trace  write a Chrome trace-event JSON (chrome://tracing)
 //   --status-port   serve /status and /metrics over TCP while running
 //                   (port 0 picks an ephemeral port, printed to stderr)
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -52,6 +53,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/span.hpp"
 #include "obs/status.hpp"
+#include "parse_unsigned.hpp"
 
 namespace {
 
@@ -72,14 +74,6 @@ int usage() {
   return 2;
 }
 
-bool parse_unsigned(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -98,14 +92,13 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string chrome_trace;
   bool status_port_set = false;
-  std::uint64_t status_port = 0;
+  std::uint16_t status_port = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    std::uint64_t n = 0;
     if (arg == "--version") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -120,37 +113,52 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--depth") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n) || n == 0) return usage();
-      config.depth = static_cast<unsigned>(n);
+      if (v == nullptr || !cli::parse_unsigned(v, &config.depth) ||
+          config.depth == 0) {
+        return usage();
+      }
     } else if (arg == "--domains") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n) || n == 0) return usage();
-      config.guest_domains = static_cast<unsigned>(n);
+      if (v == nullptr || !cli::parse_unsigned(v, &config.guest_domains) ||
+          config.guest_domains == 0) {
+        return usage();
+      }
     } else if (arg == "--domain-pages") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.domain_pages = n;
+      if (v == nullptr || !cli::parse_unsigned(v, &config.domain_pages)) {
+        return usage();
+      }
     } else if (arg == "--machine-frames") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.machine_frames = n;
+      if (v == nullptr || !cli::parse_unsigned(v, &config.machine_frames)) {
+        return usage();
+      }
       machine_frames_set = true;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.threads = static_cast<unsigned>(n);
+      if (v == nullptr || !cli::parse_unsigned(v, &config.threads)) {
+        return usage();
+      }
     } else if (arg == "--max-states") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.max_states = n;
+      if (v == nullptr || !cli::parse_unsigned(v, &config.max_states)) {
+        return usage();
+      }
     } else if (arg == "--max-counterexamples") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.max_counterexamples = n;
+      if (v == nullptr ||
+          !cli::parse_unsigned(v, &config.max_counterexamples)) {
+        return usage();
+      }
     } else if (arg == "--max-frontier-mb") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n) || n == 0) return usage();
-      config.max_frontier_bytes = n * 1024 * 1024;
+      // The byte count must fit 64 bits, or the budget would wrap to 0.
+      std::uint64_t mb = 0;
+      if (v == nullptr || !cli::parse_unsigned(v, UINT64_MAX >> 20, &mb) ||
+          mb == 0) {
+        return usage();
+      }
+      config.max_frontier_bytes = mb << 20;
     } else if (arg == "--spill-dir") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -186,8 +194,9 @@ int main(int argc, char** argv) {
       chrome_trace = v;
     } else if (arg == "--status-port") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n) || n > 65535) return usage();
-      status_port = n;
+      if (v == nullptr || !cli::parse_unsigned(v, &status_port)) {
+        return usage();
+      }
       status_port_set = true;
     } else {
       return usage();
@@ -220,12 +229,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::TcpStatusServer> server;
   if (status_port_set) {
     config.status = &board;
-    server = std::make_unique<net::TcpStatusServer>(
-        static_cast<std::uint16_t>(status_port), &board,
-        net::MetricsProvider{});
+    server = std::make_unique<net::TcpStatusServer>(status_port, &board,
+                                                    net::MetricsProvider{});
     if (!server->running()) {
-      std::fprintf(stderr, "analysis_cli: cannot listen on port %llu\n",
-                   static_cast<unsigned long long>(status_port));
+      std::fprintf(stderr, "analysis_cli: cannot listen on port %u\n",
+                   static_cast<unsigned>(status_port));
       return 4;
     }
     std::fprintf(stderr, "analysis_cli: status server on port %u\n",

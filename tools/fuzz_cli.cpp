@@ -27,7 +27,6 @@
 // rides along in the JSONL envelope, so cmp-gate stdout and the corpus
 // bytes, never the metrics file.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -39,6 +38,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "parse_unsigned.hpp"
 
 namespace {
 
@@ -51,14 +51,6 @@ int usage() {
       "                [--coverage] [--expect-novel] [--quiet]\n"
       "                [--profile] [--metrics-out FILE]");
   return 2;
-}
-
-bool parse_unsigned(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 /// One line per survivor tying its classes to the §IV-D study records.
@@ -113,7 +105,6 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    std::uint64_t n = 0;
     if (arg == "--version") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -128,24 +119,30 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--seed") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.seed = n;
+      if (v == nullptr || !cli::parse_unsigned(v, &config.seed)) return usage();
     } else if (arg == "--iterations") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.iterations = static_cast<unsigned>(n);
+      if (v == nullptr || !cli::parse_unsigned(v, &config.iterations)) {
+        return usage();
+      }
     } else if (arg == "--max-ops") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n) || n == 0) return usage();
-      config.max_ops = static_cast<unsigned>(n);
+      if (v == nullptr || !cli::parse_unsigned(v, &config.max_ops) ||
+          config.max_ops == 0) {
+        return usage();
+      }
     } else if (arg == "--machine-frames") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.platform.machine_frames = n;
+      if (v == nullptr ||
+          !cli::parse_unsigned(v, &config.platform.machine_frames)) {
+        return usage();
+      }
     } else if (arg == "--guest-pages") {
       const char* v = next();
-      if (v == nullptr || !parse_unsigned(v, &n)) return usage();
-      config.platform.guest_pages = n;
+      if (v == nullptr ||
+          !cli::parse_unsigned(v, &config.platform.guest_pages)) {
+        return usage();
+      }
     } else if (arg == "--corpus-dir") {
       const char* v = next();
       if (v == nullptr) return usage();
