@@ -1,6 +1,6 @@
 // Randomized injection campaign (paper §IV-C's fuzz-style suggestion,
 // implemented as an extension experiment) on the sequence fuzzer
-// (DESIGN.md §17, BENCH_PR10.json):
+// (DESIGN.md §17):
 //
 //  1. one blind run per release (outcome distributions, no feedback);
 //  2. warm-vs-cold throughput — the fuzzer's warm iterations (one boot plus
@@ -9,7 +9,7 @@
 //     (the acceptance claim: guided must reach strictly more);
 //  4. the guided run's coverage growth curve per 1k iterations.
 //
-// Emits BENCH_JSON lines like perf_microbench so CI can collect them.
+// Each measurement also prints one machine-readable BENCH_JSON line.
 #include <chrono>
 #include <cstdio>
 #include <thread>

@@ -9,7 +9,7 @@
 // before / restored after, IDT gates, scrubbed PTEs, ...), and a
 // machine-readable line:
 //   BENCH_JSON {"name":"recover_XSA-212-priv_4.8","iters":N,...}
-// so CI can collect results with `grep ^BENCH_JSON | cut -d' ' -f2-`.
+// which `grep ^BENCH_JSON | cut -d' ' -f2-` collects.
 //
 // The "recover_clean" baseline row measures the same walk over an
 // uncorrupted platform: the fixed cost of auditing + reconstruction when

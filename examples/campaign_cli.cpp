@@ -49,9 +49,9 @@
 // --backoff-us sets the supervisor's retry backoff base delay.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,6 +64,7 @@
 #include "obs/jsonl.hpp"
 #include "obs/span.hpp"
 #include "obs/status.hpp"
+#include "parse_unsigned.hpp"
 #include "xsa/usecases.hpp"
 
 namespace {
@@ -101,14 +102,6 @@ std::string cell_tag(const core::CellResult& cell) {
          to_string(cell.mode);
 }
 
-/// Parse a non-negative integer flag argument; returns false on garbage.
-bool parse_unsigned(const char* s, unsigned long& out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  out = std::strtoul(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,10 +116,10 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string chrome_trace;
   bool status_port_set = false;
-  unsigned long status_port = 0;
-  unsigned long status_hold = 0;
+  std::uint16_t status_port = 0;
+  unsigned status_hold = 0;
   bool chaos_armed = false;
-  unsigned long chaos_seed = 0;
+  std::uint64_t chaos_seed = 0;
   std::string chaos_plan_spec;
   std::string chaos_log_path;
 
@@ -134,6 +127,13 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // A numeric flag lands straight in its field through the shared
+    // range-checked parser: a sign, trailing characters or a value past
+    // the field's maximum is a usage error, never a wrapped value.
+    const auto number = [&](auto* out) {
+      const char* v = next();
+      return v != nullptr && cli::parse_unsigned(v, out);
     };
     if (arg == "--list") {
       for (const auto& use_case : all_cases()) {
@@ -176,26 +176,25 @@ int main(int argc, char** argv) {
       trace_path = t;
       config.capture_trace = true;
     } else if (arg == "--threads") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n) || n == 0) return usage();
-      supervision.threads = static_cast<unsigned>(n);
+      if (!number(&supervision.threads) || supervision.threads == 0) {
+        return usage();
+      }
     } else if (arg == "--retries") {
       // --retries N means "N retries after the first attempt".
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
+      const char* v = next();
+      std::uint64_t n = 0;
+      if (v == nullptr ||
+          !cli::parse_unsigned(v, std::numeric_limits<unsigned>::max() - 1,
+                               &n)) {
+        return usage();
+      }
       supervision.max_attempts = static_cast<unsigned>(n) + 1;
     } else if (arg == "--quarantine") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
-      supervision.quarantine_after = static_cast<unsigned>(n);
+      if (!number(&supervision.quarantine_after)) return usage();
     } else if (arg == "--budget") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
-      config.max_cell_hypercalls = n;
+      if (!number(&config.max_cell_hypercalls)) return usage();
     } else if (arg == "--steps") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
-      config.max_cell_steps = n;
+      if (!number(&config.max_cell_steps)) return usage();
     } else if (arg == "--recover") {
       config.attempt_recovery = true;
     } else if (arg == "--deterministic") {
@@ -221,16 +220,12 @@ int main(int argc, char** argv) {
       if (c == nullptr) return usage();
       chrome_trace = c;
     } else if (arg == "--status-port") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n) || n > 65535) return usage();
-      status_port = n;
+      if (!number(&status_port)) return usage();
       status_port_set = true;
     } else if (arg == "--status-hold") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
-      status_hold = n;
+      if (!number(&status_hold)) return usage();
     } else if (arg == "--chaos-seed") {
-      if (!parse_unsigned(next(), chaos_seed)) return usage();
+      if (!number(&chaos_seed)) return usage();
       chaos_armed = true;
     } else if (arg == "--chaos-plan") {
       const char* c = next();
@@ -242,11 +237,38 @@ int main(int argc, char** argv) {
       if (c == nullptr) return usage();
       chaos_log_path = c;
     } else if (arg == "--backoff-us") {
-      unsigned long n = 0;
-      if (!parse_unsigned(next(), n)) return usage();
-      supervision.retry_backoff_us = n;
+      if (!number(&supervision.retry_backoff_us)) return usage();
     } else {
       return usage();
+    }
+  }
+
+  // The remaining usage errors, reported before any work: no status port
+  // is bound and no preflight check runs for a command line that cannot
+  // start its campaign.
+  if (supervision.resume && supervision.journal_path.empty()) {
+    std::fprintf(stderr, "--resume requires --journal FILE\n");
+    return 2;
+  }
+  if (!only_case.empty()) {
+    bool known = false;
+    for (const auto& use_case : all_cases()) {
+      if (use_case->name() == only_case) known = true;
+    }
+    if (!known) {
+      std::fprintf(stderr, "unknown use case '%s' (try --list)\n",
+                   only_case.c_str());
+      return 2;
+    }
+  }
+  std::unique_ptr<core::ChaosEngine> chaos;
+  if (chaos_armed) {
+    try {
+      chaos = std::make_unique<core::ChaosEngine>(
+          chaos_seed, core::parse_chaos_plan(chaos_plan_spec));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bad --chaos-plan: %s\n", e.what());
+      return 2;
     }
   }
 
@@ -274,10 +296,11 @@ int main(int argc, char** argv) {
       const std::lock_guard<std::mutex> lock{*metrics_mu};
       return *final_metrics;
     };
-    server = std::make_unique<net::TcpStatusServer>(
-        static_cast<std::uint16_t>(status_port), &board, std::move(provider));
+    server = std::make_unique<net::TcpStatusServer>(status_port, &board,
+                                                    std::move(provider));
     if (!server->running()) {
-      std::fprintf(stderr, "cannot listen on status port %lu\n", status_port);
+      std::fprintf(stderr, "cannot listen on status port %u\n",
+                   static_cast<unsigned>(status_port));
       return 1;
     }
     std::fprintf(stderr, "campaign_cli: status server on port %u\n",
@@ -293,8 +316,8 @@ int main(int argc, char** argv) {
   // time on cells: a policy that disagrees with its expectation makes the
   // campaign's verdicts meaningless, so refuse to start.
   if (preflight) {
-    // Shard the checker over the same worker count the campaign will use
-    // (0 = hardware concurrency); the verdict is thread-count independent.
+    // Shard the checker over the campaign's worker count (--threads,
+    // default 1); the verdict is thread-count independent.
     const core::PreflightReport report =
         core::Campaign{config}.preflight(/*depth=*/2, supervision.threads);
     for (const auto& v : report.versions) {
@@ -313,24 +336,6 @@ int main(int argc, char** argv) {
                    "preflight failed: version policy and validation engine "
                    "disagree; not running cells\n");
       return 1;
-    }
-  }
-
-  if (supervision.resume && supervision.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal FILE\n");
-    return 2;
-  }
-
-  // Validate --case up front (and fail fast on typos) with one probe set.
-  if (!only_case.empty()) {
-    bool known = false;
-    for (const auto& use_case : all_cases()) {
-      if (use_case->name() == only_case) known = true;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown use case '%s' (try --list)\n",
-                   only_case.c_str());
-      return 2;
     }
   }
 
@@ -370,18 +375,7 @@ int main(int argc, char** argv) {
   // Arm the chaos engine for the whole run. The engine outlives the
   // supervisor call so the schedule log can be written even when a
   // supervisor.kill fault aborts the campaign.
-  std::unique_ptr<core::ChaosEngine> chaos;
-  if (chaos_armed) {
-    try {
-      chaos = std::make_unique<core::ChaosEngine>(
-          static_cast<std::uint64_t>(chaos_seed),
-          core::parse_chaos_plan(chaos_plan_spec));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --chaos-plan: %s\n", e.what());
-      return 2;
-    }
-    core::ChaosEngine::install(chaos.get());
-  }
+  if (chaos != nullptr) core::ChaosEngine::install(chaos.get());
   const auto write_chaos_log = [&] {
     if (chaos == nullptr || chaos_log_path.empty()) return true;
     std::ofstream os{chaos_log_path, std::ios::trunc};

@@ -5,7 +5,10 @@
 
 #include <cstring>
 
+#include "core/injector.hpp"
 #include "core/monitor.hpp"
+#include "hv/hypercall_table.hpp"
+#include "obs/trace.hpp"
 #include "xsa/exchange_primitive.hpp"
 #include "xsa/usecases.hpp"
 
@@ -43,20 +46,48 @@ TEST(ExchangePrimitive, RawShotWritesFreshMfn) {
   EXPECT_NE(written, 0u);
 }
 
+// The paper's capability (i), "easier to induce a representative erroneous
+// state than effectively attack the system", counted in hypercalls: the
+// groomed exploit write issues one memory_exchange per groomed byte
+// attempt, the injector write of the same target exactly one hypercall.
 TEST(ExchangePrimitive, GroomedWritePlacesExactValue) {
   auto p = make_platform(hv::kXen46, false);
   ExchangeWritePrimitive prim{p.guest(0)};
   const sim::Paddr pa =
       sim::mfn_to_paddr(p.hv().domain(hv::kDom0).start_info_mfn()) + 0x300;
   const std::uint64_t value = 0x0123456789ABCDEFULL;
+  obs::TraceSink exploit_sink{obs::TraceSink::kDefaultCapacity,
+                              /*category_mask=*/0};
+  p.hv().set_trace_sink(&exploit_sink);
   ASSERT_TRUE(prim.write_u64(hv::directmap_vaddr(pa), value));
+  p.hv().set_trace_sink(nullptr);
   std::uint64_t written = 0;
   p.memory().read(pa, {reinterpret_cast<std::uint8_t*>(&written),
                        sizeof written});
   EXPECT_EQ(written, value);
-  // Grooming costs many exchanges — that asymmetry vs. the injector's
-  // single hypercall is the paper's "easier to induce than attack" point.
   EXPECT_GT(prim.exchanges_used(), 8u);
+  EXPECT_EQ(exploit_sink.count(obs::TraceCategory::HypercallEnter),
+            prim.exchanges_used());
+  EXPECT_EQ(exploit_sink.hypercall_count(hv::kHcMemoryOp),
+            prim.exchanges_used());
+
+  auto q = make_platform(hv::kXen46);
+  ASSERT_EQ(q.hv().domain(hv::kDom0).start_info_mfn(),
+            p.hv().domain(hv::kDom0).start_info_mfn());
+  core::ArbitraryAccessInjector injector{q.guest(0)};
+  obs::TraceSink injector_sink{obs::TraceSink::kDefaultCapacity,
+                               /*category_mask=*/0};
+  q.hv().set_trace_sink(&injector_sink);
+  ASSERT_TRUE(injector.write_u64(hv::directmap_vaddr(pa).raw(), value,
+                                 core::AddressMode::Linear));
+  q.hv().set_trace_sink(nullptr);
+  written = 0;
+  q.memory().read(pa, {reinterpret_cast<std::uint8_t*>(&written),
+                       sizeof written});
+  EXPECT_EQ(written, value);
+  EXPECT_EQ(injector_sink.count(obs::TraceCategory::HypercallEnter), 1u);
+  EXPECT_EQ(injector_sink.hypercall_count(hv::arbitrary_access_nr(hv::kXen46)),
+            1u);
 }
 
 TEST(ExchangePrimitive, ZeroByteCleansSpill) {

@@ -23,9 +23,9 @@
 // --corpus-dir must be new or empty (exit 2 otherwise): runs never share
 // trace files. A trace file that could not be written exits 4.
 //
-// --metrics-out appends one {"type":"metrics"} JSONL record; wall time
-// rides along in the JSONL envelope, so cmp-gate stdout and the corpus
-// bytes, never the metrics file.
+// --metrics-out writes one {"type":"metrics"} JSONL record. It holds only
+// the run's counters, no wall time, so like stdout (--profile included)
+// and the corpus bytes it is byte-identical across runs at one seed.
 #include <cstdio>
 #include <cstring>
 #include <exception>

@@ -1,5 +1,5 @@
 // Range-checked parsing of the command-line tools' numeric flags, shared
-// by analysis_cli and fuzz_cli.
+// by analysis_cli, fuzz_cli and campaign_cli.
 //
 // A flag value is a whole decimal number no greater than the maximum of
 // the field it lands in. Anything else is a usage error: an empty string,
