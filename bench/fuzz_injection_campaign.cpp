@@ -8,11 +8,8 @@
 //  3. guided-vs-blind coverage at equal iteration budgets across seeds
 //     (the acceptance claim: guided must reach strictly more);
 //  4. the guided run's coverage growth curve per 1k iterations.
-//
-// Each measurement also prints one machine-readable BENCH_JSON line.
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +41,6 @@ double ms_since(Clock::time_point t0) {
 
 int main() {
   using namespace ii;
-  const unsigned cores = std::thread::hardware_concurrency();
 
   // 1. One blind run per release (the original experiment).
   for (const hv::XenVersion version : {hv::kXen46, hv::kXen48, hv::kXen413}) {
@@ -80,10 +76,6 @@ int main() {
       std::printf("blind %s: %u iterations in %.1f ms "
                   "(%.0f iterations/sec)\n",
                   name, kIterations, ms, iters_per_sec);
-      std::printf("BENCH_JSON {\"name\":\"fuzz_blind_%s_%u\","
-                  "\"wall_ms\":%.1f,\"iters_per_sec\":%.1f,"
-                  "\"host_cores\":%u}\n",
-                  name, kIterations, ms, iters_per_sec, cores);
     }
   }
 
@@ -110,11 +102,6 @@ int main() {
                   g.coverage_points, b.coverage_points,
                   ahead ? "" : "[GUIDED BEHIND] ", guided_ms,
                   budget / (guided_ms / 1000.0));
-      std::printf("BENCH_JSON {\"name\":\"fuzz_guided_vs_blind_s%llu_i%u\","
-                  "\"guided_points\":%zu,\"blind_points\":%zu,"
-                  "\"guided_wall_ms\":%.1f,\"host_cores\":%u}\n",
-                  static_cast<unsigned long long>(seed), budget,
-                  g.coverage_points, b.coverage_points, guided_ms, cores);
     }
   }
   std::printf("guided strictly ahead on all 1500-iteration cells: %s\n",

@@ -6,10 +6,7 @@
 // then times Hypervisor::recover() alone — platform construction and the
 // injection are outside the timed region. Each row reports the recover()
 // latency distribution plus what the pass repaired (invariants violated
-// before / restored after, IDT gates, scrubbed PTEs, ...), and a
-// machine-readable line:
-//   BENCH_JSON {"name":"recover_XSA-212-priv_4.8","iters":N,...}
-// which `grep ^BENCH_JSON | cut -d' ' -f2-` collects.
+// before / restored after, IDT gates, scrubbed PTEs, ...).
 //
 // The "recover_clean" baseline row measures the same walk over an
 // uncorrupted platform: the fixed cost of auditing + reconstruction when
@@ -19,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "guest/platform.hpp"
 #include "hv/recovery.hpp"
@@ -94,15 +90,6 @@ void bench_recovery(
       static_cast<unsigned long long>(last.p2m_entries_dropped),
       static_cast<unsigned long long>(last.ptes_scrubbed),
       last.unrecovered_domains.size());
-  std::printf(
-      "BENCH_JSON {\"name\":\"%s\",\"iters\":%zu,\"ns_mean\":%.1f,"
-      "\"ns_p50\":%.1f,\"ns_p95\":%.1f,\"ns_max\":%llu,\"succeeded\":%zu,"
-      "\"pre_violated\":\"%s\",\"restored\":\"%s\",\"host_cores\":%u}\n",
-      name.c_str(), iters, histo.mean(), histo.percentile(0.50),
-      histo.percentile(0.95), static_cast<unsigned long long>(histo.max()),
-      succeeded, join_invariants(last.pre.violated_set()).c_str(),
-      join_invariants(last.restored()).c_str(),
-      std::thread::hardware_concurrency());
 }
 
 /// Inject one use case's erroneous state (ignoring its outcome: a partial

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "hv/audit.hpp"
+
 namespace ii::hv {
 
 namespace {
@@ -62,6 +64,9 @@ Hypervisor::Hypervisor(sim::PhysicalMemory& mem, VersionPolicy policy,
     log("(XEN) intrusion-injection hypercall ENABLED (patched build)");
   }
 }
+
+// Out of line: the audit memo's type is complete only here.
+Hypervisor::~Hypervisor() = default;
 
 sim::Mfn Hypervisor::alloc_xen_table() {
   auto mfn = frames_.alloc(kDomXen);

@@ -44,6 +44,7 @@ struct RecoveryReport;  // recovery.hpp
 struct HvSnapshot;      // snapshot.hpp
 struct HvDelta;         // snapshot.hpp
 struct HvCowState;      // snapshot.hpp
+struct AuditMemo;       // audit.hpp
 
 /// Counters over the snapshot/hash/restore machinery since the last
 /// reset_snapshot_stats(). The campaign and the model checker surface these
@@ -67,6 +68,15 @@ struct SnapshotStats {
   std::uint64_t cow_restores = 0;      ///< restore_cow() invocations
   std::uint64_t cow_frames_copied = 0;  ///< frames materialized into new blocks
   std::uint64_t cow_frames_shared = 0;  ///< frames aliased from the parent
+  /// Page tables the invariant audit parsed slot by slot: every table a
+  /// walk_system() re-walk visited, and the shared Xen L3 when its check
+  /// ran. A walk or a check whose inputs did not move parses nothing.
+  std::uint64_t tables_parsed = 0;
+  /// PageInfo entries the invariant audit's refcount pass read: the
+  /// entries logged since the synced baseline plus the baseline's suspects,
+  /// or every frame without a synced baseline or on the first audit
+  /// against a new one.
+  std::uint64_t page_infos_checked = 0;
 
   /// Fold another engine's counters in (the parallel model checker sums
   /// per-worker machines into one result).
@@ -83,6 +93,8 @@ struct SnapshotStats {
     cow_restores += o.cow_restores;
     cow_frames_copied += o.cow_frames_copied;
     cow_frames_shared += o.cow_frames_shared;
+    tables_parsed += o.tables_parsed;
+    page_infos_checked += o.page_infos_checked;
     return *this;
   }
 
@@ -132,6 +144,7 @@ class Hypervisor {
   Hypervisor(sim::PhysicalMemory& mem, VersionPolicy policy,
              HvConfig config = {});
 
+  ~Hypervisor();
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;
 
@@ -491,6 +504,13 @@ class Hypervisor {
   /// Rewind readers of both dirty logs were last synced to.
   mutable std::uint64_t rewind_base_ = 0;
   mutable SnapshotStats snap_stats_;
+  // The invariant audit's memo (audit.hpp): each domain's walk and the IDT
+  // and Xen-L3 findings, keyed by the write generations of the frames they
+  // read, and the refcount pass's suspects, keyed by rewind_base_. Mutable
+  // for the same reason as the digest terms; AuditMemo is its one reader
+  // and writer.
+  friend struct AuditMemo;
+  mutable std::unique_ptr<AuditMemo> audit_memo_;
 
   // snapshot.cpp helpers.
   [[nodiscard]] std::uint64_t bookkeeping_digest() const;

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -74,17 +76,83 @@ std::vector<Invariant> RecoveryReport::restored() const {
 
 // ----------------------------------------------------------------- auditor
 
-InvariantReport InvariantAuditor::audit() const {
-  return audit(walk_system(*hv_));
+namespace {
+
+/// Each refcount-consistency finding of frame `m`, whose entry is `pi`
+/// and whose owner is a domain: `found` is called with a function that
+/// builds the finding's text, so a caller that only asks whether the frame
+/// fails builds none. The memoized pass's suspects and its findings both
+/// come from here, so they cannot disagree.
+template <typename Found>
+void refcount_findings(std::uint64_t m, const PageInfo& pi, Found&& found) {
+  if (pi.type == PageType::None && pi.type_count != 0) {
+    found([&] {
+      return "mfn " + hex(m) + " typeless with type_count " +
+             std::to_string(pi.type_count);
+    });
+  }
+  if (is_pagetable_type(pi.type) && !pi.validated) {
+    found([&] {
+      return "mfn " + hex(m) + " typed " + to_string(pi.type) +
+             " but never validated";
+    });
+  }
+  if (pi.ref_count == 0) {
+    found([&] {
+      return "allocated mfn " + hex(m) + " with zero existence refs";
+    });
+  }
 }
 
-InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
-  return audit(audit_system(*hv_, walk));
+bool owned_by_domain(const PageInfo& pi) {
+  return pi.owner != kDomXen && pi.owner != kDomInvalid;
 }
 
-InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
+/// The frames whose PageInfo can carry a refcount finding, ascending, or
+/// nullopt when only a pass over every frame can tell (no synced baseline).
+/// A frame not logged since the sync still holds the baseline's entry, so
+/// the candidates are the logged frames plus the frames that fail at the
+/// baseline. Those are worked out on the first audit against a baseline,
+/// with one pass: the frames that fail then, plus the frames logged then,
+/// whose baseline entry that state no longer shows.
+std::optional<std::vector<std::uint64_t>> refcount_frames(
+    const Hypervisor& hv) {
+  const std::uint64_t base = AuditMemo::synced_baseline(hv);
+  if (base == 0) return std::nullopt;
+  const FrameTable& frames = hv.frames();
+  const auto log = frames.dirty_frames(sim::DirtyReader::Rewind);
+  std::vector<std::uint64_t> logged{log.begin(), log.end()};
+  std::sort(logged.begin(), logged.end());
+  AuditMemo& memo = AuditMemo::of(hv);
+  if (memo.suspects_base != base) {
+    std::vector<std::uint64_t> failing;
+    for (std::uint64_t m = 0; m < frames.frame_count(); ++m) {
+      const PageInfo& pi = frames.info(sim::Mfn{m});
+      bool fails = false;
+      if (owned_by_domain(pi)) {
+        refcount_findings(m, pi, [&](const auto&) { fails = true; });
+      }
+      if (fails) failing.push_back(m);
+    }
+    AuditMemo::stats(hv).page_infos_checked += frames.frame_count();
+    memo.suspects.clear();
+    std::set_union(failing.begin(), failing.end(), logged.begin(),
+                   logged.end(), std::back_inserter(memo.suspects));
+    memo.suspects_base = base;
+  }
+  std::vector<std::uint64_t> candidates;
+  candidates.reserve(memo.suspects.size() + logged.size());
+  std::set_union(memo.suspects.begin(), memo.suspects.end(), logged.begin(),
+                 logged.end(), std::back_inserter(candidates));
+  return candidates;
+}
+
+/// Every invariant check given the structural report. The refcount pass
+/// reads `refcount` (ascending), or every frame when it is nullopt.
+InvariantReport invariant_report(
+    const Hypervisor& hv, const AuditReport& structural,
+    const std::optional<std::vector<std::uint64_t>>& refcount) {
   InvariantReport report;
-  const Hypervisor& hv = *hv_;
   const FrameTable& frames = hv.frames();
 
   const std::vector<DomainId> ids = hv.domain_ids();
@@ -109,7 +177,7 @@ InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
   if (hv.cpu_hung()) add(Invariant::Liveness, kDomInvalid, "CPU0 wedged");
 
   // 2. Structural audits, grouped by the property they protect. The page
-  // tables were walked exactly once (walk_system) and the materialized walk
+  // tables were walked at most once (walk_system) and the materialized walk
   // was shared by every structural check instead of re-walking per invariant.
   for (const AuditFinding& f : structural.findings) {
     if (dead(f.domain)) continue;
@@ -154,26 +222,19 @@ InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
   }
 
   // 4. Frame-table self-consistency (what recovery's rebuild must restore).
-  // The one pass of the audit that grows with the machine, not the tables.
-  for (std::uint64_t m = 0; m < frames.frame_count(); ++m) {
+  const auto check_frame = [&](std::uint64_t m) {
     const PageInfo& pi = frames.info(sim::Mfn{m});
-    if (pi.owner == kDomXen || pi.owner == kDomInvalid || dead(pi.owner)) {
-      continue;
-    }
-    if (pi.type == PageType::None && pi.type_count != 0) {
-      add(Invariant::RefcountConsistency, pi.owner,
-          "mfn " + hex(m) + " typeless with type_count " +
-              std::to_string(pi.type_count));
-    }
-    if (is_pagetable_type(pi.type) && !pi.validated) {
-      add(Invariant::RefcountConsistency, pi.owner,
-          "mfn " + hex(m) + " typed " + to_string(pi.type) +
-              " but never validated");
-    }
-    if (pi.ref_count == 0) {
-      add(Invariant::RefcountConsistency, pi.owner,
-          "allocated mfn " + hex(m) + " with zero existence refs");
-    }
+    if (!owned_by_domain(pi) || dead(pi.owner)) return;
+    refcount_findings(m, pi, [&](const auto& text) {
+      add(Invariant::RefcountConsistency, pi.owner, text());
+    });
+  };
+  if (refcount) {
+    for (const std::uint64_t m : *refcount) check_frame(m);
+    AuditMemo::stats(hv).page_infos_checked += refcount->size();
+  } else {
+    for (std::uint64_t m = 0; m < frames.frame_count(); ++m) check_frame(m);
+    AuditMemo::stats(hv).page_infos_checked += frames.frame_count();
   }
   for (const DomainId id : ids) {
     const Domain& dom = hv.domain(id);
@@ -194,6 +255,24 @@ InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
     }
   }
   return report;
+}
+
+}  // namespace
+
+InvariantReport InvariantAuditor::audit() const {
+  return audit(walk_system(*hv_));
+}
+
+InvariantReport InvariantAuditor::audit(const SystemWalk& walk) const {
+  return audit(audit_system(*hv_, walk));
+}
+
+InvariantReport InvariantAuditor::audit(const AuditReport& structural) const {
+  return invariant_report(*hv_, structural, refcount_frames(*hv_));
+}
+
+InvariantReport InvariantAuditor::audit_full() const {
+  return invariant_report(*hv_, audit_system_full(*hv_), std::nullopt);
 }
 
 // --------------------------------------------------------------- sanitizer

@@ -45,6 +45,9 @@ struct InvariantFinding {
   Invariant invariant{};
   DomainId domain = kDomInvalid;  ///< domain implicated, if any
   std::string detail;
+
+  friend bool operator==(const InvariantFinding&,
+                         const InvariantFinding&) = default;
 };
 
 /// One full audit pass: which invariants hold, with per-finding detail.
@@ -65,6 +68,13 @@ struct InvariantReport {
 /// is also emitted on the hypervisor's trace sink as an InvariantViolation
 /// event (code = Invariant, domain = implicated domain), so campaigns see
 /// violations in the per-cell stream.
+///
+/// The refcount-consistency pass reads only the PageInfos that can carry a
+/// finding: those logged since the synced baseline (the frame table's
+/// Rewind log), plus the baseline's suspects, worked out once per baseline
+/// and kept in the hypervisor's AuditMemo (hv/audit.hpp). Without a synced
+/// baseline it reads every frame. Findings, text and order are those of
+/// the pass over every frame.
 class InvariantAuditor {
  public:
   explicit InvariantAuditor(const Hypervisor& hv) : hv_{&hv} {}
@@ -83,6 +93,11 @@ class InvariantAuditor {
   /// reports (the fuzzer tells "detected by audit" from "no effect" by the
   /// structural one) audits the state once.
   [[nodiscard]] InvariantReport audit(const AuditReport& structural) const;
+
+  /// Every check from scratch — audit_system_full() and the refcount pass
+  /// over every frame — ignoring and not touching the memo. Exists so tests
+  /// can assert the memoized audit never drifts; always equals audit().
+  [[nodiscard]] InvariantReport audit_full() const;
 
  private:
   const Hypervisor* hv_;

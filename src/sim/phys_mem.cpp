@@ -71,6 +71,9 @@ void PhysicalMemory::write_slot(Mfn table, unsigned index,
 
 void PhysicalMemory::zero_frame(Mfn mfn) {
   check_range(mfn_to_paddr(mfn), kPageSize);
+  // A frame at kInitialGeneration already reads as zero: nothing changes,
+  // so nothing is stamped or logged.
+  if (frame_gen_[mfn.raw()] == kInitialGeneration) return;
   mark_dirty(mfn);
   std::memset(bytes_.get() + mfn_to_paddr(mfn).raw(), 0, kPageSize);
 }

@@ -26,10 +26,14 @@
 // §10 has the model.
 //
 // Mutation paths that stamp generations and feed the log: write(),
-// write_u64(), write_slot(), zero_frame(), mark_dirty(), writable_frame()
-// guards, and restore_frame() (which rolls a frame's generation *back* to
-// a recorded value together with the bytes that were captured at that
-// value — the only path allowed to do so).
+// write_u64(), write_slot(), zero_frame() of a frame past
+// kInitialGeneration, mark_dirty(), writable_frame() guards, and
+// restore_frame() (which rolls a frame's generation *back* to a recorded
+// value together with the bytes that were captured at that value — the
+// only path allowed to do so). zero_frame() of a frame still at
+// kInitialGeneration changes no byte, so it stamps and logs nothing: the
+// domain builder and memory_exchange zero every frame they hand out, and
+// a machine stays as cheap as the frames that hold a non-zero byte.
 // frame_bytes() is const-only; there is deliberately no unguarded mutable
 // view.
 #pragma once
@@ -77,7 +81,8 @@ class PhysicalMemory {
   [[nodiscard]] std::uint64_t read_slot(Mfn table, unsigned index) const;
   void write_slot(Mfn table, unsigned index, std::uint64_t value);
 
-  /// Zero an entire frame (what the hypervisor does when scrubbing).
+  /// Zero an entire frame (what the hypervisor does when scrubbing). A
+  /// frame at kInitialGeneration is zero already and is left unstamped.
   void zero_frame(Mfn mfn);
 
   /// Read-only view of one frame's 4096 bytes. Mutation goes through

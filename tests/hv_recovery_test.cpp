@@ -65,7 +65,9 @@ TEST(InvariantAuditor, CleanPlatformIsClean) {
 // Callers that already hold the structural report (the fuzzer) derive the
 // invariant report from it; it must be the report the walk gives. Each
 // state is the one the use case's exploit leaves on 4.6, where all four
-// vulnerabilities are live.
+// vulnerabilities are live. The platform is baselined and audited clean
+// first, as the campaign pool does, so the exploit state is audited from
+// the memo, and every report must equal the one made from scratch.
 TEST(InvariantAuditor, ReportEntryPointMatchesWalkOnXsaStates) {
   using analysis::ErroneousStateClass;
   const std::pair<const char*, ErroneousStateClass> states[] = {
@@ -78,12 +80,15 @@ TEST(InvariantAuditor, ReportEntryPointMatchesWalkOnXsaStates) {
     auto use_case = find_case(name);
     ASSERT_NE(use_case, nullptr) << name;
     guest::VirtualPlatform p{test_config(hv::kXen46)};
+    const guest::PlatformBaseline baseline = p.baseline();
+    ASSERT_TRUE(hv::InvariantAuditor{p.hv()}.audit().clean()) << name;
     (void)use_case->run_exploit(p);
     const hv::Hypervisor& vmm = p.hv();
     const hv::SystemWalk walk = hv::walk_system(vmm);
+    const hv::AuditReport structural = hv::audit_system(vmm, walk);
     const hv::InvariantReport from_walk = hv::InvariantAuditor{vmm}.audit(walk);
     const hv::InvariantReport from_report =
-        hv::InvariantAuditor{vmm}.audit(hv::audit_system(vmm, walk));
+        hv::InvariantAuditor{vmm}.audit(structural);
     const auto classes =
         analysis::classify_erroneous_state(vmm, walk, from_walk);
     EXPECT_NE(std::find(classes.begin(), classes.end(), family),
@@ -91,6 +96,18 @@ TEST(InvariantAuditor, ReportEntryPointMatchesWalkOnXsaStates) {
         << name;
     EXPECT_FALSE(from_walk.clean()) << name;
     EXPECT_EQ(rendered(from_walk), rendered(from_report)) << name;
+    EXPECT_EQ(walk, hv::walk_system_full(vmm)) << name;
+    EXPECT_EQ(structural.findings, hv::audit_system_full(vmm).findings)
+        << name;
+    EXPECT_EQ(rendered(from_walk),
+              rendered(hv::InvariantAuditor{vmm}.audit_full()))
+        << name;
+    // The rewound platform audits clean again, from the memo.
+    (void)p.restore(baseline);
+    EXPECT_TRUE(hv::InvariantAuditor{p.hv()}.audit().clean()) << name;
+    EXPECT_EQ(rendered(hv::InvariantAuditor{p.hv()}.audit()),
+              rendered(hv::InvariantAuditor{p.hv()}.audit_full()))
+        << name;
   }
 }
 

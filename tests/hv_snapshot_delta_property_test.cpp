@@ -11,20 +11,24 @@
 //   3. Every rewind flavour — to the synced baseline or to another
 //      snapshot, CoW nodes — leaves memory and every
 //      PageInfo equal to a machine that reached the same state another
-//      way, with the same hash.
+//      way, with the same hash. Across the same steps the memoized audit
+//      (walk, structural report, invariant report) equals the audit made
+//      from scratch, text and order included.
 // They are fuzzed with seeded generators across the three paper versions,
 // so any mutation path that skips the dirty log shows up as a hash split.
-// SnapshotCost pins the other half of the claim: hash, capture and rewind
-// do the same work on a machine eight times larger, and so do the first
-// hash and the baseline of a freshly booted machine.
+// SnapshotCost pins the other half of the claim: hash, capture, rewind and
+// audit do the same work on a machine eight times larger, and so do the
+// first hash and the baseline of a freshly booted machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "hv/audit.hpp"
 #include "hv/hypervisor.hpp"
 #include "hv/recovery.hpp"
 #include "hv/snapshot.hpp"
@@ -275,11 +279,22 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
   const HvSnapshot root = h.hv.snapshot();
   ASSERT_EQ(root.hash, boot_hash);
 
+  // The memoized audit against its oracle, the audit made from scratch.
+  const auto expect_audit = [&](const std::string& what) {
+    const SystemWalk walk = walk_system(h.hv);
+    ASSERT_EQ(walk, walk_system_full(h.hv)) << what;
+    const AuditReport structural = audit_system(h.hv, walk);
+    ASSERT_EQ(structural.findings, audit_system_full(h.hv).findings) << what;
+    ASSERT_EQ(InvariantAuditor{h.hv}.audit(structural).findings,
+              InvariantAuditor{h.hv}.audit_full().findings)
+        << what;
+  };
   const auto expect_state = [&](const Image& want, std::uint64_t want_hash,
                                 const std::string& what) {
     EXPECT_EQ(first_difference(image_of(h.hv), want), "") << what;
     EXPECT_EQ(h.hv.state_hash(), want_hash) << what;
     ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << what;
+    expect_audit(what);
   };
   const auto some_ops = [&](int n) {
     for (int i = 0; i < n; ++i) h.mixed_op();
@@ -364,6 +379,7 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
         EXPECT_EQ(h.hv.memory().generation(), gen) << at;
         EXPECT_NE(h.hv.state_hash(), before) << at;
         ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << at;
+        expect_audit(at + ": PageInfo-only change");
         (void)h.hv.restore_delta(root);
         expect_state(boot, boot_hash, at + ": PageInfo-only change rewound");
         break;
@@ -373,6 +389,7 @@ TEST_P(SnapshotDeltaProperty, DirtyLogsStayCompleteAcrossEveryRewind) {
         break;
     }
     ASSERT_EQ(h.hv.state_hash(), h.hv.state_hash_full()) << at;
+    expect_audit(at);
   }
 }
 
@@ -419,8 +436,48 @@ TEST(SnapshotDirtyLog, PageInfoOnlyChangeMovesTheHashAndIsRewound) {
   EXPECT_EQ(first_difference(image_of(h.hv), boot), "");
 }
 
+TEST(SnapshotDirtyLog, RefcountPassFollowsTheLogAndEachBaseline) {
+  // The memoized refcount pass reads the PageInfos logged since the synced
+  // baseline plus the frames that may fail at that baseline. Each step
+  // below is one way to miss a finding if either set is wrong; after every
+  // audit the report must equal the pass over every frame.
+  Harness h{kXen46, 9};
+  const sim::Mfn frame = *h.hv.domain(h.guest).p2m(sim::Pfn{20});
+  const sim::Mfn other = *h.hv.domain(h.guest).p2m(sim::Pfn{21});
+  const std::uint32_t refs = h.hv.frames().info(frame).ref_count;
+  const auto expect_oracle = [&](const std::string& what) {
+    const InvariantReport memo = InvariantAuditor{h.hv}.audit();
+    EXPECT_TRUE(memo.violated(Invariant::RefcountConsistency)) << what;
+    EXPECT_EQ(memo.findings, InvariantAuditor{h.hv}.audit_full().findings)
+        << what;
+  };
+
+  // A baseline with a finding: an allocated frame with no existence ref.
+  h.hv.frames().info(frame).ref_count = 0;
+  const HvSnapshot base = h.hv.snapshot();
+  const InvariantReport at_base = InvariantAuditor{h.hv}.audit_full();
+  ASSERT_TRUE(at_base.violated(Invariant::RefcountConsistency));
+
+  // The first audit against it sees the frame repaired, and only logged.
+  h.hv.frames().info(frame).ref_count = refs;
+  EXPECT_TRUE(InvariantAuditor{h.hv}.audit().clean());
+  // A finding made since the baseline is found through the log.
+  h.hv.frames().info(other).ref_count = 0;
+  expect_oracle("finding made since the baseline");
+  // Back at the baseline the frame is no longer logged, yet its finding
+  // is back.
+  (void)h.hv.restore_delta(base);
+  EXPECT_EQ(InvariantAuditor{h.hv}.audit().findings, at_base.findings);
+  // A new baseline with a finding the old one lacked.
+  h.hv.frames().info(other).ref_count = 0;
+  (void)h.hv.snapshot();  // the synced baseline from here on
+  expect_oracle("new baseline");
+}
+
 /// The SnapshotStats of each step of one fixed scenario — one dirty frame,
-/// then one PageInfo-changing hypercall — on a machine of `frames` frames.
+/// then one PageInfo-changing hypercall, each followed by an audit — on a
+/// machine of `frames` frames. The baseline's first audit, which reads
+/// every PageInfo once, comes before the steps.
 std::vector<SnapshotStats> work_of_one_dirty_frame(std::uint64_t frames) {
   sim::PhysicalMemory mem{frames};
   Hypervisor hv{mem, VersionPolicy::for_version(kXen46)};
@@ -431,6 +488,9 @@ std::vector<SnapshotStats> work_of_one_dirty_frame(std::uint64_t frames) {
   const sim::Mfn l1_mfn = *hv.domain(guest).p2m(sim::Pfn{124});
   const sim::Paddr data = sim::mfn_to_paddr(data_mfn);
   const HvSnapshot base = hv.snapshot();
+  hv.reset_snapshot_stats();
+  EXPECT_TRUE(InvariantAuditor{hv}.audit().clean()) << frames << " frames";
+  EXPECT_EQ(hv.snapshot_stats().page_infos_checked, frames);
 
   std::vector<SnapshotStats> work;
   const auto step = [&](const auto& fn) {
@@ -438,11 +498,15 @@ std::vector<SnapshotStats> work_of_one_dirty_frame(std::uint64_t frames) {
     fn();
     work.push_back(hv.snapshot_stats());
   };
+  const auto audit = [&] {
+    EXPECT_TRUE(InvariantAuditor{hv}.audit().clean()) << frames << " frames";
+  };
   HvCowState cow;
   step([&] {
     mem.write_u64(data, 1);
     (void)hv.state_hash();
   });
+  step(audit);
   step([&] { (void)hv.restore_delta(base); });
   step([&] {
     const std::uint64_t marker = mem.generation();
@@ -462,7 +526,9 @@ std::vector<SnapshotStats> work_of_one_dirty_frame(std::uint64_t frames) {
     EXPECT_EQ(hv.hypercall_mmu_update(guest, {&req, 1}), kOk);
     (void)hv.state_hash();
   });
+  step(audit);
   step([&] { (void)hv.restore_delta(base); });
+  step(audit);
   return work;
 }
 
@@ -472,12 +538,14 @@ std::string describe(const SnapshotStats& s) {
          std::to_string(s.frames_hash_cached) + ", copied " +
          std::to_string(s.frames_copied) + ", cow copied " +
          std::to_string(s.cow_frames_copied) + ", delta captured " +
-         std::to_string(s.frames_delta_captured);
+         std::to_string(s.frames_delta_captured) + ", tables parsed " +
+         std::to_string(s.tables_parsed) + ", PageInfos checked " +
+         std::to_string(s.page_infos_checked);
 }
 
 TEST(SnapshotCost, WorkIsIndependentOfMachineSize) {
-  // "O(dirty)" as a checked claim: on machines 8x apart, hash, capture and
-  // rewind report identical work — exact counts, not timings.
+  // "O(dirty)" as a checked claim: on machines 8x apart, hash, capture,
+  // rewind and audit report identical work — exact counts, not timings.
   const std::vector<SnapshotStats> small = work_of_one_dirty_frame(4096);
   const std::vector<SnapshotStats> large = work_of_one_dirty_frame(32768);
   ASSERT_EQ(small.size(), large.size());
@@ -487,7 +555,20 @@ TEST(SnapshotCost, WorkIsIndependentOfMachineSize) {
         << describe(large[i]);
     EXPECT_LE(small[i].frames_visited, 16u)
         << "step " << i << ": " << describe(small[i]);
+    EXPECT_LE(small[i].page_infos_checked, 16u)
+        << "step " << i << ": " << describe(small[i]);
   }
+  // The data-frame write left every table alone, so its audit walked
+  // nothing; the mmu_update rewrote the guest's L1, so the audit after it
+  // walked the guest's tables again, and so did the audit after the
+  // rewind that gave that L1 back its baseline generation.
+  const auto audit_after = [&](std::size_t step) {
+    return small.at(step + 1);
+  };
+  EXPECT_EQ(audit_after(0).tables_parsed, 0u);
+  EXPECT_GT(audit_after(7).tables_parsed, 0u);
+  EXPECT_GT(audit_after(7).page_infos_checked, 0u);
+  EXPECT_GT(audit_after(9).tables_parsed, 0u);
 }
 
 /// Boot a machine of `frames` frames exactly as work_of_one_dirty_frame
@@ -495,6 +576,8 @@ TEST(SnapshotCost, WorkIsIndependentOfMachineSize) {
 struct BootCost {
   std::uint64_t first_hash_rehashed = 0;
   std::uint64_t baseline_stored = 0;
+  /// The baseline stored exactly the frames holding a non-zero byte.
+  bool stored_only_nonzero = false;
 };
 
 BootCost boot_cost(std::uint64_t frames) {
@@ -510,6 +593,15 @@ BootCost boot_cost(std::uint64_t frames) {
   const HvSnapshot base = hv.snapshot();
   cost.baseline_stored = base.written_frames.size();
   EXPECT_EQ(base.hash, first) << frames << " frames";
+  std::vector<std::uint64_t> nonzero;
+  for (std::uint64_t m = 0; m < frames; ++m) {
+    const auto bytes = mem.frame_bytes(sim::Mfn{m});
+    if (std::any_of(bytes.begin(), bytes.end(),
+                    [](std::uint8_t b) { return b != 0; })) {
+      nonzero.push_back(m);
+    }
+  }
+  cost.stored_only_nonzero = base.written_frames == nonzero;
   return cost;
 }
 
@@ -517,7 +609,9 @@ TEST(SnapshotCost, FirstHashAndBaselineCostWhatBootWrote) {
   // Boot writes the same frames on machines 8x apart, and the first hash
   // digests and the baseline stores exactly those: every other frame is
   // still at its initial generation, so it is zero and is neither read nor
-  // copied.
+  // copied. Zeroing a frame that was never written stamps nothing, so the
+  // domain builder's scrub of every domain page counts for no frame: the
+  // frames stored are exactly the frames holding a non-zero byte.
   const BootCost small = boot_cost(4096);
   const BootCost large = boot_cost(32768);
   EXPECT_EQ(small.first_hash_rehashed, large.first_hash_rehashed);
@@ -525,6 +619,8 @@ TEST(SnapshotCost, FirstHashAndBaselineCostWhatBootWrote) {
   EXPECT_EQ(small.first_hash_rehashed, small.baseline_stored);
   EXPECT_GT(small.baseline_stored, 0u);
   EXPECT_LT(small.baseline_stored, 4096u / 8);
+  EXPECT_TRUE(small.stored_only_nonzero) << small.baseline_stored << " stored";
+  EXPECT_TRUE(large.stored_only_nonzero) << large.baseline_stored << " stored";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -169,5 +169,35 @@ TEST(PhysicalMemory, DirtyLogAndRestoreFrameRollGenerationsBack) {
   EXPECT_GE(mem.generation(), base[129]);
 }
 
+TEST(PhysicalMemory, ZeroingANeverWrittenFrameStampsNothing) {
+  PhysicalMemory mem{3};
+  const auto logged = [&](DirtyReader r) {
+    const auto frames = mem.dirty_frames(r);
+    return std::vector<std::uint64_t>{frames.begin(), frames.end()};
+  };
+  using Frames = std::vector<std::uint64_t>;
+
+  // Frame 1 was never written, so it is zero already: zeroing it changes
+  // no byte, stamps no generation and logs nothing.
+  const std::uint64_t global = mem.generation();
+  mem.zero_frame(Mfn{1});
+  EXPECT_EQ(mem.frame_generation(Mfn{1}), PhysicalMemory::kInitialGeneration);
+  EXPECT_EQ(mem.generation(), global);
+  EXPECT_TRUE(logged(DirtyReader::Digest).empty());
+  EXPECT_TRUE(logged(DirtyReader::Rewind).empty());
+  EXPECT_EQ(mem.read_u64(Paddr{kPageSize}), 0u);
+
+  // A written frame is still stamped, logged and zeroed.
+  mem.write_u64(Paddr{2 * kPageSize + 8}, 0x55);
+  mem.sync_dirty(DirtyReader::Digest);
+  mem.sync_dirty(DirtyReader::Rewind);
+  const std::uint64_t written = mem.frame_generation(Mfn{2});
+  mem.zero_frame(Mfn{2});
+  EXPECT_GT(mem.frame_generation(Mfn{2}), written);
+  EXPECT_EQ(mem.read_u64(Paddr{2 * kPageSize + 8}), 0u);
+  EXPECT_EQ(logged(DirtyReader::Digest), (Frames{2}));
+  EXPECT_EQ(logged(DirtyReader::Rewind), (Frames{2}));
+}
+
 }  // namespace
 }  // namespace ii::sim
